@@ -8,6 +8,8 @@ arrangement, and the quasibraid presentation with its symmetric-group
 homomorphism.
 """
 
+from types import ModuleType as _ModuleType
+
 from .errors import MosaicError
 from .polygon import (
     Dissection,
@@ -73,5 +75,7 @@ from .arrangement import (
     irreducible_cells,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not exports
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))
 __version__ = "0.1.0"

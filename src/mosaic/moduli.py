@@ -11,32 +11,40 @@ reglues.  Two regimes are supported:
                side labeled n) together with cyclic rotations only;
                tiles number (n-1)!.
 
+A twist class is the dual tree of the dissection with the cyclic order
+at each internal node taken up to reflection, except that in the double
+cover the node holding side n keeps its orientation.  So the class's
+members are the independent orientations of the nodes, 2^k of them once
+normalized: up to one global reflection in the projective regime, with
+the root fixed in the double cover.  Rooting the tree at side 1
+(projective) or side n (double cover), the least member is the one in
+which every node that may turn lists its first unit (child block or
+single side) starting with a smaller label than its last.
+`cell_class` applies that rule node by node.
+
 `build_complex` enumerates every cell of the chosen regime for one n,
 grades them by diagonal count (codimension), and records the incidence
-between adjacent grades with multiplicity.  Classes always carry exactly
-2^k dissections once the rotational freedom is normalized away; the
-build raises InvariantViolation rather than return a complex violating
-that.
-
-The enumeration walks grades in order and keys each normalized
-dissection by a compact byte string, so the n = 8 projective complex
-(260190 cells from 2275560 normalized dissections) builds in well under
-a minute.
+between adjacent grades with multiplicity.  For each diagonal set it
+tests the rule on every labeling at once with numpy, so the n = 8
+projective complex (260190 cells) builds in about two seconds.  The
+build raises InvariantViolation if a grade does not hold exactly
+1/2^k as many cells as normalized dissections.
 """
 
 from __future__ import annotations
 
-from array import array
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from math import factorial
 from itertools import combinations, permutations
+from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BadSubsetSize,
     InvariantViolation,
+    MismatchedPolygons,
     MosaicError,
     NotASurface,
     NoInfinitySide,
@@ -127,78 +135,83 @@ def marked_twist(diss, d):
 
 
 # ---------------------------------------------------------------------------
-# normal forms on raw (labels, diagonals) tuples; the hot path avoids
-# Dissection construction entirely
+# the least member of a twist class
+#
+# Turn the polygon so the root side sits at position 0 (label 1,
+# projective) or n-1 (label n, double cover).  Every diagonal then cuts
+# off a block of side positions away from the root, and the blocks nest
+# the way the nodes of the dual tree do.  A node's units are its child
+# blocks and single sides, in position order; turning the node reverses
+# the order of its units and keeps each unit's content.
 
 
-def _twist_window(labels, diags, i, j):
-    n = len(labels)
-    new_labels = labels[:i] + labels[i:j][::-1] + labels[j:]
-    out = []
-    for u, v in diags:
-        if i <= u and v <= j:
-            u, v = i + j - v, i + j - u
-        out.append((u, v))
-    out.sort()
-    return new_labels, tuple(out)
+def _block(d, n, mode):
+    # the side positions cut off by the diagonal d, on the side away from
+    # the root; the root side itself is never inside a block
+    i, j = d
+    if mode == PROJECTIVE and i == 0:
+        return (j, n)
+    return (i, j)
 
 
-def _dihedral_least(labels, diags, n):
-    # least (labels, diagonals) over the 2n dihedral images; distinct
-    # labels leave exactly two candidates, the rotation and the
-    # reflected rotation that put label 1 first
-    r = labels.index(1)
-    c1 = labels[r:] + labels[:r] if r else labels
-    rev = labels[::-1]
-    r2 = n - 1 - r
-    c2 = rev[r2:] + rev[:r2] if r2 else rev
-    if c1 <= c2:
-        if r == 0:
-            return labels, diags
-        out = []
-        for u, v in diags:
-            a, b = (u - r) % n, (v - r) % n
-            out.append((a, b) if a < b else (b, a))
-        out.sort()
-        return c1, tuple(out)
-    out = []
-    for u, v in diags:
-        a, b = (n - u - r2) % n, (n - v - r2) % n
-        out.append((a, b) if a < b else (b, a))
-    out.sort()
-    return c2, tuple(out)
+def _diagonal(block, n):
+    a, b = block
+    return (0, a) if b == n else (a, b)
 
 
-def _rotate_infinity_last(labels, diags, n):
-    r = (labels.index(n) + 1) % n
-    if r == 0:
-        return labels, tuple(sorted(diags))
-    out = []
-    for u, v in diags:
-        a, b = (u - r) % n, (v - r) % n
-        out.append((a, b) if a < b else (b, a))
-    out.sort()
-    return labels[r:] + labels[:r], tuple(out)
+class _Node(NamedTuple):
+    """One node of a rooted dual tree that the least-member rule orients.
+
+    Its units are its child blocks and, between them, single sides.
+    """
+
+    block: tuple        # its side positions (start, stop)
+    children: list      # the blocks of its child nodes, in order
+
+    @property
+    def last(self):
+        """Where the last unit starts."""
+        b = self.block[1]
+        if self.children and self.children[-1][1] == b:
+            return self.children[-1][0]
+        return b - 1
+
+    def turned(self, labels):
+        """The labels with the order of this node's units reversed."""
+        a, b = self.block
+        out = list(labels)
+        out[a:b] = labels[a:b][::-1]
+        for x, y in self.children:
+            out[a + b - y:a + b - x] = labels[x:y]
+        return out
+
+    def moved(self, block):
+        """Where a block goes when the node turns: it moves with its unit."""
+        x, y = block
+        for cx, cy in self.children:
+            if cx <= x and y <= cy:
+                shift = self.block[0] + self.block[1] - cx - cy
+                return x + shift, y + shift
+        return block
 
 
-def _closure(labels, diags, n, mode):
-    # twist closure of one normalized dissection; in double-cover mode
-    # the frame keeps the side n at position n-1, and every window twist
-    # preserves that, so no renormalization happens inside the loop
-    projective = mode == PROJECTIVE
-    start = (labels, diags)
-    seen = {start}
-    stack = [start]
+def _tree(blocks, n, mode):
+    # the nodes in post-order, children before parents: the non-root
+    # nodes come first, one per block, and the projective root last.
+    # Blocks are taken by start, outer before inner; a node is complete
+    # once a block starts at or past its end.
+    nodes = []
+    stack = [((1, n) if mode == PROJECTIVE else (0, n - 1), [])]
+    for block in sorted(blocks, key=lambda blk: (blk[0], -blk[1])):
+        while block[0] >= stack[-1][0][1]:
+            nodes.append(_Node(*stack.pop()))
+        stack[-1][1].append(block)
+        stack.append((block, []))
     while stack:
-        cur_labels, cur_diags = stack.pop()
-        for u, v in cur_diags:
-            nxt = _twist_window(cur_labels, cur_diags, u, v)
-            if projective:
-                nxt = _dihedral_least(nxt[0], nxt[1], n)
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+        nodes.append(_Node(*stack.pop()))
+    if mode == DOUBLE_COVER:
+        nodes.pop()
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -228,27 +241,28 @@ class Cell:
 def cell_class(diss, mode):
     """The cell containing a dissection with labels 1..n.
 
-    Projective regime: closure under all twists and the dihedral group.
-    Double-cover regime: closure under marked twists and cyclic
-    rotations.  The representative is the least normalized member.
+    Projective regime: classes under all twists and the dihedral group.
+    Double-cover regime: classes under marked twists and cyclic
+    rotations.  The representative is the least normalized member,
+    found by orienting each node of the rooted dual tree in turn.
     """
     _check_mode(mode)
     n = diss.n
     if set(diss.labels) != set(range(1, n + 1)):
         raise UnknownLabel(f"cell classes need labels 1..{n}, got {diss.labels!r}")
     labels = diss.labels
-    diags = tuple(sorted(diss.diagonals))
-    if mode == PROJECTIVE:
-        labels, diags = _dihedral_least(labels, diags, n)
-    else:
-        labels, diags = _rotate_infinity_last(labels, diags, n)
-    members = _closure(labels, diags, n, mode)
-    if len(members) != 1 << len(diags):
-        raise InvariantViolation(
-            f"twist class of {diss!r} has {len(members)} members, "
-            f"expected {1 << len(diags)}")
-    rep_labels, rep_diags = min(members)
-    return Cell(mode=mode, labels=rep_labels, diagonals=rep_diags, size=len(members))
+    r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
+    labels = labels[r:] + labels[:r]
+    blocks = []
+    for u, v in diss.diagonals:
+        u, v = (u - r) % n, (v - r) % n
+        blocks.append(_block((u, v) if u < v else (v, u), n, mode))
+    for node in _tree(blocks, n, mode):
+        if labels[node.block[0]] > labels[node.last]:
+            labels = node.turned(labels)
+            blocks = [node.moved(blk) for blk in blocks]
+    diags = tuple(sorted([_diagonal(blk, n) for blk in blocks]))
+    return Cell(mode=mode, labels=tuple(labels), diagonals=diags, size=1 << len(diags))
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +288,10 @@ class _Level:
         self.cp_counts = counts[order]
 
     @classmethod
-    def from_raw(cls, raw):
+    def from_raw(cls, raw, weight):
+        # each occurrence of a code in raw stands for `weight` incidences
         codes, counts = np.unique(raw, return_counts=True)
-        return cls(codes, counts.astype(np.int64))
+        return cls(codes, counts.astype(np.int64) * weight)
 
     def _range(self, codes, gid):
         lo = np.searchsorted(codes, gid << 32)
@@ -296,32 +311,104 @@ class _Level:
             yield code >> 32, code & 0xFFFFFFFF, count
 
 
-def _projective_labelings(n):
-    # one label cycle per dihedral class: 1 is pinned first and the
-    # sequence must not exceed its reflection
-    out = []
-    for perm in permutations(range(2, n + 1)):
-        labels = (1,) + perm
-        reflected = (1,) + perm[::-1]
-        if labels <= reflected:
-            out.append(labels)
-    return out
-
-
-def _cover_labelings(n):
-    # one label cycle per rotation class: n is pinned last
+def _labelings(n, mode):
+    # every label cycle in the regime's frame, in lexicographic order:
+    # label 1 first (projective) or label n last (double cover)
+    if mode == PROJECTIVE:
+        return [(1,) + perm for perm in permutations(range(2, n + 1))]
     return [perm + (n,) for perm in permutations(range(1, n))]
 
 
-def _key(labels, diags):
-    return bytes(labels) + bytes(x for d in diags for x in d)
+class _Grade:
+    """The diagonal sets of one grade with their trees, and its cells.
+
+    Each diagonal is numbered by its place in polygon_diagonals, so a
+    diagonal set is also a bit mask.  A cell's code is the base-(n+1)
+    value of its labels times the number of diagonal sets plus the index
+    of its set; codes sort as (labels, diagonals) do, which is the order
+    of the cells.
+    """
+
+    def __init__(self, n, mode, k, block_id):
+        self.sets = enumerate_diagonal_sets(n, k)
+        self.trees = [_tree([_block(d, n, mode) for d in ds], n, mode)
+                      for ds in self.sets]
+        # the non-root nodes come first in a tree, one per diagonal
+        self.ids = np.array([[block_id[node.block] for node in tree[:k]]
+                             for tree in self.trees],
+                            dtype=np.int64).reshape(len(self.sets), k)
+        self.masks = (np.int64(1) << self.ids).sum(axis=1)
+        self._by_mask = np.argsort(self.masks)
+        self.first = np.array([[node.block[0] for node in tree] for tree in self.trees],
+                              dtype=np.intp)
+        self.last = np.array([[node.last for node in tree] for tree in self.trees],
+                             dtype=np.intp)
+        self.start = None           # index of the grade's first cell
+        self.codes = None           # the cells' codes, ascending
+
+    def set_index(self, masks):
+        """The indices of the diagonal sets with these bit masks."""
+        return self._by_mask[np.searchsorted(self.masks, masks, sorter=self._by_mask)]
 
 
-def _decode_key(key, n):
-    labels = tuple(key[:n])
-    flat = key[n:]
-    diags = tuple((flat[t], flat[t + 1]) for t in range(0, len(flat), 2))
-    return labels, diags
+def _incidence(grade, prev, labels, sets, weights, block_id):
+    """Codes (parent << 32 | child) linking a grade to the one before.
+
+    labels and sets give each cell of the grade, in order.  Deleting a
+    diagonal from a cell merges the two nodes it joins.  Half of the
+    cell's 2^k members keep the lower node's orientation relative to the
+    upper one and half reverse it, and nothing else decides the parent
+    class, so each pair of a cell and one of its diagonals yields two
+    codes, each standing for 2^(k-1) incidences.  Reversing a node
+    changes the label its block starts with, so the rule is applied
+    again at the merged node and then at each ancestor up to the root.
+    """
+    def mask(blocks):
+        return sum(1 << block_id[blk] for blk in blocks)
+
+    k = grade.ids.shape[1]
+    positions = range(labels.shape[1])
+    by_set = np.argsort(sets, kind="stable")
+    bounds = np.searchsorted(sets, np.arange(len(grade.sets) + 1), sorter=by_set)
+    masks, parts = [], []
+    for s, tree in enumerate(grade.trees):
+        members = by_set[bounds[s]:bounds[s + 1]]
+        rows = labels[members]
+        children = grade.start + members
+        for node in tree[:k]:
+            kept = [other.block for other in tree[:k] if other is not node]
+            masks.append(mask(kept))
+            parts.append((rows, children))
+            masks.append(mask(node.moved(blk) for blk in kept))
+            parts.append((rows[:, node.turned(positions)], children))
+    pending = [[] for _ in prev.sets]
+    for p, part in zip(prev.set_index(np.array(masks, dtype=np.int64)).tolist(), parts):
+        pending[p].append(part)
+
+    blocks = list(block_id)
+    raw = []
+    for p, parts in enumerate(pending):
+        rows = np.concatenate([part[0] for part in parts])
+        children = np.concatenate([part[1] for part in parts])
+        ids = np.repeat(prev.ids[p:p + 1], len(rows), axis=0)
+        # post-order: every node sees its children already oriented
+        for node in prev.trees[p]:
+            flip = rows[:, node.block[0]] > rows[:, node.last]
+            if flip.any():
+                rows[flip] = rows[flip][:, node.turned(positions)]
+                move = np.array([block_id[node.moved(blk)] for blk in blocks])
+                ids[flip] = move[ids[flip]]
+        codes = ((rows @ weights) * len(prev.sets)
+                 + prev.set_index((np.int64(1) << ids).sum(axis=1)))
+        found = np.searchsorted(prev.codes, codes)
+        missing = prev.codes[np.minimum(found, len(prev.codes) - 1)] != codes
+        if missing.any():
+            child = int(children[missing.argmax()])
+            raise InvariantViolation(
+                f"grade {k - 1}: a parent of cell {child} is not "
+                f"among the grade's cells")
+        raw.append(((prev.start + found) << 32) | children)
+    return np.concatenate(raw)
 
 
 class ModuliComplex:
@@ -466,12 +553,13 @@ class TileAdjacency:
 def build_complex(n, mode=PROJECTIVE, max_codim=None):
     """Enumerate the full cell complex for one n.
 
-    Grades are walked from the tiles downward; each grade's classes are
-    discovered by twist closure over normalized dissections, then the
-    grade is frozen and the incidence with the previous grade is read
-    off by deleting single diagonals.  max_codim truncates the build
-    below that grade (the tile count of the n = 8 double cover is
-    reachable this way without enumerating its 4.5 million dissections).
+    Grades are walked from the tiles downward.  A grade's cells are the
+    least members of its twist classes: for each diagonal set, the
+    labelings that pass one comparison per orientable node of the
+    rooted dual tree, tested on all labelings at once.  The incidence
+    with the previous grade is read off by deleting each diagonal of a
+    cell under both relative orientations of the nodes it joins.
+    max_codim truncates the build below that grade.
 
     n = 3 is allowed and yields the one-point complex; it turns up as a
     factor of divisor subcomplexes.
@@ -484,66 +572,33 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
         if max_codim < 0:
             raise RangeError(f"max_codim must be >= 0, got {max_codim}")
         top = min(max_codim, top)
-    labelings = _projective_labelings(n) if mode == PROJECTIVE else _cover_labelings(n)
+    labelings = _labelings(n, mode)
+    table = np.array(labelings, dtype=np.int8)
+    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    block_id = {_block(d, n, mode): t for t, d in enumerate(polygon_diagonals(n))}
 
     cells = []
     grade_range = {}
     levels = {}
-    prev_visited = None
-    prev_gid = None
+    prev = None
     for k in range(top + 1):
-        diagsets = enumerate_diagonal_sets(n, k)
-        class_size = 1 << k
-        visited = {}
-        rep_keys = []
-        for labels in labelings:
-            label_bytes = bytes(labels)
-            for diags in diagsets:
-                key = label_bytes + bytes(x for d in diags for x in d)
-                if key in visited:
-                    continue
-                members = _closure(labels, diags, n, mode)
-                if len(members) != class_size:
-                    raise InvariantViolation(
-                        f"class of {labels}/{diags} has {len(members)} members, "
-                        f"expected {class_size}")
-                cid = len(rep_keys)
-                best = None
-                for member in members:
-                    mkey = _key(*member)
-                    visited[mkey] = cid
-                    if best is None or mkey < best:
-                        best = mkey
-                rep_keys.append(best)
-        if len(visited) != len(labelings) * len(diagsets):
+        grade = _Grade(n, mode, k, block_id)
+        keep = (table[:, grade.first] < table[:, grade.last]).all(axis=2)
+        rows, sets = np.nonzero(keep)
+        dissections = tile_count(n, mode) * cayley_count(n, k)
+        if len(rows) << k != dissections:
             raise InvariantViolation(
-                f"grade {k}: {len(visited)} normalized dissections seen, "
-                f"expected {len(labelings) * len(diagsets)}")
-
-        order = sorted(range(len(rep_keys)), key=rep_keys.__getitem__)
-        start = len(cells)
-        gid_of_local = [0] * len(rep_keys)
-        for rank, local in enumerate(order):
-            gid_of_local[local] = start + rank
-            labels, diags = _decode_key(rep_keys[local], n)
-            cells.append(Cell(mode=mode, labels=labels, diagonals=diags,
-                              size=class_size, index=start + rank))
-        grade_range[k] = (start, len(cells))
-
+                f"grade {k}: {len(rows)} cells of {1 << k} members each, "
+                f"expected {dissections} normalized dissections")
+        grade.start = len(cells)
+        grade.codes = (table[rows] @ weights) * len(grade.sets) + sets
+        for index, (r, s) in enumerate(zip(rows.tolist(), sets.tolist()), grade.start):
+            cells.append(Cell(mode, labelings[r], grade.sets[s], 1 << k, index))
+        grade_range[k] = (grade.start, len(cells))
         if k:
-            codes = array("q")
-            for key, cid in visited.items():
-                base = key[:n]
-                flat = key[n:]
-                child_code = gid_of_local[cid]
-                for t in range(0, 2 * k, 2):
-                    parent_key = base + flat[:t] + flat[t + 2:]
-                    parent_gid = prev_gid[prev_visited[parent_key]]
-                    codes.append((parent_gid << 32) | child_code)
-            raw = np.frombuffer(codes, dtype=np.int64).copy()
-            levels[k] = _Level.from_raw(raw)
-        prev_visited = visited
-        prev_gid = gid_of_local
+            raw = _incidence(grade, prev, table[rows], sets, weights, block_id)
+            levels[k] = _Level.from_raw(raw, 1 << (k - 1))
+        prev = grade
 
     return ModuliComplex(n=n, mode=mode, cells=cells,
                          grade_range=grade_range, levels=levels)
@@ -574,7 +629,9 @@ def closed_form_f_vector(n, mode=PROJECTIVE):
     for k in range(n - 2):
         num = tile_count(n, mode) * cayley_count(n, k)
         denom = 1 << k
-        assert num % denom == 0
+        if num % denom:
+            raise InvariantViolation(f"codim {k}: {num} dissections do not split "
+                                     f"into classes of {denom}")
         out.append(num // denom)
     return tuple(out)
 
@@ -614,7 +671,8 @@ def euler_proof_sum(n):
     for k in range(n - 2):
         num = factorial(n - 1) * cayley_count(n, k)
         denom = 1 << (k + 1)
-        assert num % denom == 0
+        if num % denom:
+            raise InvariantViolation(f"codim {k}: {num} is not divisible by {denom}")
         total += (-1) ** (n - 3 - k) * (num // denom)
     return total
 
@@ -632,7 +690,10 @@ def _separating_diagonal(cell, subset):
         i, j = d
         part = set(labels[i:j])
         if part == subset or part == complement:
-            assert hit is None, "two diagonals cut off the same label set"
+            if hit is not None:
+                raise InvariantViolation(
+                    f"cell {cell.index}: diagonals {hit} and {d} both cut off "
+                    f"{sorted(subset)}")
             hit = d
     return hit
 
@@ -748,7 +809,10 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     if factors is None:
         factors = (build_complex(m1, PROJECTIVE), build_complex(m2, PROJECTIVE))
     factor_s, factor_c = factors
-    assert factor_s.n == m1 and factor_c.n == m2
+    if (factor_s.n, factor_c.n) != (m1, m2):
+        raise MismatchedPolygons(
+            f"factors of the divisor {sorted(S)} of n={n} must be the {m1}-gon and "
+            f"{m2}-gon complexes, got {factor_s.n} and {factor_c.n}")
 
     inside = sorted(S)
     outside = sorted(set(range(1, n + 1)) - S)
@@ -981,7 +1045,9 @@ def classify_surface(complex_):
     orientable = _propagate_orientation(len(tiles), slots)
 
     if orientable:
-        assert euler % 2 == 0
+        if euler % 2:
+            raise InvariantViolation(f"orientable surface with odd Euler "
+                                     f"characteristic {euler}")
         genus = (2 - euler) // 2
         if genus == 0:
             name = "S_0 (sphere)"

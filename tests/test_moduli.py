@@ -326,6 +326,13 @@ def test_divisor_factorization_for_the_hexagon(cache):
     assert report.sub_f_vector == (12, 30, 15)
 
 
+def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):
+    complex_ = cache.full(5)
+    swapped = (cache.full(4), cache.full(3))
+    with pytest.raises(MosaicError):
+        verify_divisor_factorization(complex_, {1, 2}, swapped)
+
+
 def test_every_pentagon_divisor_class_passes(cache):
     complex_ = cache.full(5)
     classes = divisor_label_classes(5)

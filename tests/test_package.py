@@ -1,0 +1,39 @@
+"""The package's entry points: `python -m mosaic` and `__all__`."""
+
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
+
+import mosaic
+from test_cli import run_cli
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(mosaic.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "mosaic", "counts", "--n", "5"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == run_cli("counts", "--n", "5")
+    assert done.returncode == 0
+
+
+PUBLIC = (
+    "Cell CompositionPlan DOUBLE_COVER Dissection Face FaceLattice Flat Generator "
+    "ModuliComplex MosaicError PROJECTIVE Permutation Relation build_complex "
+    "cayley_count cell_class chamber_counts check_operad_axioms check_phi "
+    "classify_surface compose_full compose_single conjugate_in covering_map "
+    "dihedral_canonical divisor_correspondence divisor_subcomplex dual_tree "
+    "enumerate_diagonal_sets euler_closed_form euler_proof_sum export_presentation "
+    "face_factorization face_lattice facet_si_graph flats g_hat_strata generators "
+    "hyperplanes irreducible_cells marked_twist pair_of_pants phi phi_word "
+    "polygon_diagonals reference_polygon relabel relations si_condition superimpose "
+    "twist verify_divisor_factorization").split()
+
+
+def test_all_exports_the_public_names_and_no_submodules():
+    assert mosaic.__all__ == sorted(PUBLIC)
+    assert not [name for name in mosaic.__all__
+                if isinstance(getattr(mosaic, name), types.ModuleType)]
