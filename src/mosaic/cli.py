@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 on success, 2 when a displayed cross-check disagrees or a
-verification fails, 64 for usage errors (bad flags, out-of-range
-arguments).  All output is deterministic for fixed flags.
+Exit codes: 0 on success, 2 when a displayed cross-check disagrees, a
+verification fails or a structural invariant breaks (InvariantViolation),
+64 for usage errors (bad flags, out-of-range arguments).  All output is
+deterministic for fixed flags.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import sys
 from math import factorial
 
 from . import acceptance, moduli, quasibraid
-from .errors import MosaicError, RangeError
+from .errors import InvariantViolation, MosaicError, RangeError
 from .moduli import DOUBLE_COVER, PROJECTIVE
 from .polygon import cayley_count, enumerate_diagonal_sets
 
@@ -43,8 +44,6 @@ def build_parser():
     p = sub.add_parser("counts", help="cell counts and Euler characteristics")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, default=None)
-    p.add_argument("--enumerate", action="store_true",
-                   help="force full enumeration (n <= 8)")
     _format_flags(p, ("table", "json"))
     p.set_defaults(func=cmd_counts)
 
@@ -85,8 +84,6 @@ def cmd_counts(args):
     n = args.n
     if not 3 <= n <= 10:
         raise RangeError(f"counts supports 3 <= n <= 10, got {n}")
-    if args.enumerate and n > 8:
-        raise RangeError(f"full enumeration supports n <= 8, got {n}")
     built = {}
     if n <= 8:
         built[PROJECTIVE] = moduli.build_complex(n, PROJECTIVE)
@@ -268,4 +265,8 @@ def main(argv=None):
         return args.func(args)
     except MosaicError as err:
         print(f"error: {err}", file=sys.stderr)
-        return USAGE
+        return MISMATCH if isinstance(err, InvariantViolation) else USAGE
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -23,12 +23,18 @@ single side) starting with a smaller label than its last.
 `cell_class` applies that rule node by node.
 
 `build_complex` enumerates every cell of the chosen regime for one n,
-grades them by diagonal count (codimension), and records the incidence
-between adjacent grades with multiplicity.  For each diagonal set it
-tests the rule on every labeling at once with numpy, so the n = 8
-projective complex (260190 cells) builds in about two seconds.  The
-build raises InvariantViolation if a grade does not hold exactly
-1/2^k as many cells as normalized dissections.
+graded by diagonal count (codimension), with the incidence between
+adjacent grades and its multiplicity.  A cell of codimension k lies on
+a cell of codimension k-1 when its dissection has one more diagonal,
+so each grade grows from the one above: add every compatible diagonal
+to every cell, then apply the rule to all results at once with numpy
+(`_least`).  The distinct results are the new grade's cells and each
+(cell, added diagonal) pair stands for 2^(k-1) incidences, as twists
+carry a cell's members and their added diagonals along together.  The
+n = 8 projective complex (260190 cells) builds in under two seconds.
+The build raises InvariantViolation unless every grade holds 1/2^k as
+many cells as normalized dissections and every cell of a grade k >= 1
+is reached by exactly 2k pairs.
 """
 
 from __future__ import annotations
@@ -298,10 +304,6 @@ class _Level:
         hi = np.searchsorted(codes, (gid + 1) << 32)
         return lo, hi
 
-    def children_of(self, parent_gid):
-        lo, hi = self._range(self.pc_codes, parent_gid)
-        return (self.pc_codes[lo:hi] & 0xFFFFFFFF, self.pc_counts[lo:hi])
-
     def parents_of(self, child_gid):
         lo, hi = self._range(self.cp_codes, child_gid)
         return (self.cp_codes[lo:hi] & 0xFFFFFFFF, self.cp_counts[lo:hi])
@@ -320,13 +322,10 @@ def _labelings(n, mode):
 
 
 class _Grade:
-    """The diagonal sets of one grade with their trees, and its cells.
+    """The diagonal sets of one grade with their rooted dual trees.
 
     Each diagonal is numbered by its place in polygon_diagonals, so a
-    diagonal set is also a bit mask.  A cell's code is the base-(n+1)
-    value of its labels times the number of diagonal sets plus the index
-    of its set; codes sort as (labels, diagonals) do, which is the order
-    of the cells.
+    diagonal set is also a bit mask.
     """
 
     def __init__(self, n, mode, k, block_id):
@@ -336,79 +335,29 @@ class _Grade:
         # the non-root nodes come first in a tree, one per diagonal
         self.ids = np.array([[block_id[node.block] for node in tree[:k]]
                              for tree in self.trees],
-                            dtype=np.int64).reshape(len(self.sets), k)
+                            dtype=np.int8).reshape(len(self.sets), k)
         self.masks = (np.int64(1) << self.ids).sum(axis=1)
         self._by_mask = np.argsort(self.masks)
-        self.first = np.array([[node.block[0] for node in tree] for tree in self.trees],
-                              dtype=np.intp)
-        self.last = np.array([[node.last for node in tree] for tree in self.trees],
-                             dtype=np.intp)
-        self.start = None           # index of the grade's first cell
-        self.codes = None           # the cells' codes, ascending
 
     def set_index(self, masks):
         """The indices of the diagonal sets with these bit masks."""
         return self._by_mask[np.searchsorted(self.masks, masks, sorter=self._by_mask)]
 
 
-def _incidence(grade, prev, labels, sets, weights, block_id):
-    """Codes (parent << 32 | child) linking a grade to the one before.
+def _least(rows, ids, tree, block_id):
+    """Turn labelings sharing one diagonal set to their least members.
 
-    labels and sets give each cell of the grade, in order.  Deleting a
-    diagonal from a cell merges the two nodes it joins.  Half of the
-    cell's 2^k members keep the lower node's orientation relative to the
-    upper one and half reverse it, and nothing else decides the parent
-    class, so each pair of a cell and one of its diagonals yields two
-    codes, each standing for 2^(k-1) incidences.  Reversing a node
-    changes the label its block starts with, so the rule is applied
-    again at the merged node and then at each ancestor up to the root.
+    The node loop of cell_class on arrays: rows holds the labelings, ids
+    the numbers of their diagonals, which move when a node turns.
     """
-    def mask(blocks):
-        return sum(1 << block_id[blk] for blk in blocks)
-
-    k = grade.ids.shape[1]
-    positions = range(labels.shape[1])
-    by_set = np.argsort(sets, kind="stable")
-    bounds = np.searchsorted(sets, np.arange(len(grade.sets) + 1), sorter=by_set)
-    masks, parts = [], []
-    for s, tree in enumerate(grade.trees):
-        members = by_set[bounds[s]:bounds[s + 1]]
-        rows = labels[members]
-        children = grade.start + members
-        for node in tree[:k]:
-            kept = [other.block for other in tree[:k] if other is not node]
-            masks.append(mask(kept))
-            parts.append((rows, children))
-            masks.append(mask(node.moved(blk) for blk in kept))
-            parts.append((rows[:, node.turned(positions)], children))
-    pending = [[] for _ in prev.sets]
-    for p, part in zip(prev.set_index(np.array(masks, dtype=np.int64)).tolist(), parts):
-        pending[p].append(part)
-
-    blocks = list(block_id)
-    raw = []
-    for p, parts in enumerate(pending):
-        rows = np.concatenate([part[0] for part in parts])
-        children = np.concatenate([part[1] for part in parts])
-        ids = np.repeat(prev.ids[p:p + 1], len(rows), axis=0)
-        # post-order: every node sees its children already oriented
-        for node in prev.trees[p]:
-            flip = rows[:, node.block[0]] > rows[:, node.last]
-            if flip.any():
-                rows[flip] = rows[flip][:, node.turned(positions)]
-                move = np.array([block_id[node.moved(blk)] for blk in blocks])
-                ids[flip] = move[ids[flip]]
-        codes = ((rows @ weights) * len(prev.sets)
-                 + prev.set_index((np.int64(1) << ids).sum(axis=1)))
-        found = np.searchsorted(prev.codes, codes)
-        missing = prev.codes[np.minimum(found, len(prev.codes) - 1)] != codes
-        if missing.any():
-            child = int(children[missing.argmax()])
-            raise InvariantViolation(
-                f"grade {k - 1}: a parent of cell {child} is not "
-                f"among the grade's cells")
-        raw.append(((prev.start + found) << 32) | children)
-    return np.concatenate(raw)
+    positions = range(rows.shape[1])
+    for node in tree:
+        flip = rows[:, node.block[0]] > rows[:, node.last]
+        if flip.any():
+            rows[flip] = rows[flip][:, node.turned(positions)]
+            move = np.array([block_id[node.moved(blk)] for blk in block_id])
+            ids[flip] = move[ids[flip]]
+    return rows, ids
 
 
 class ModuliComplex:
@@ -550,16 +499,40 @@ class TileAdjacency:
         return out
 
 
+def _grow(grade, prev, rows, sets, weights, block_id):
+    """Add each diagonal of the grade's sets to the cells of grade prev.
+
+    rows and sets give those cells' labels and set indices in cell order
+    (for grade 0: every labeling, the empty set and no prev).  Returns
+    each result's code as a least member and the row it grew from.
+    """
+    # each set grows from the sets with one diagonal fewer
+    below = [[0]] if prev is None else prev.set_index(
+        grade.masks[:, None] - (np.int64(1) << grade.ids))
+    by_set = np.argsort(sets, kind="stable")
+    bounds = np.searchsorted(sets, np.arange(sets.max() + 2), sorter=by_set)
+    codes, parents = [], []
+    for t, tree in enumerate(grade.trees):
+        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]])
+        ids = np.repeat(grade.ids[t:t + 1], len(members), axis=0)
+        least, ids = _least(rows[members], ids, tree, block_id)
+        codes.append((least @ weights) * len(grade.sets)
+                     + grade.set_index((np.int64(1) << ids).sum(axis=1)))
+        parents.append(members)
+    return np.concatenate(codes), np.concatenate(parents)
+
+
 def build_complex(n, mode=PROJECTIVE, max_codim=None):
     """Enumerate the full cell complex for one n.
 
-    Grades are walked from the tiles downward.  A grade's cells are the
-    least members of its twist classes: for each diagonal set, the
-    labelings that pass one comparison per orientable node of the
-    rooted dual tree, tested on all labelings at once.  The incidence
-    with the previous grade is read off by deleting each diagonal of a
-    cell under both relative orientations of the nodes it joins.
-    max_codim truncates the build below that grade.
+    Each grade grows from the one above: grade 0 from every labeling,
+    grade k by adding each compatible diagonal to each cell of grade
+    k-1.  The distinct least members of the results are the grade's
+    cells, and each (parent, added diagonal) pair stands for 2^(k-1)
+    incidences.  InvariantViolation is raised unless a grade holds as
+    many cells as closed_form_f_vector says and each cell below the
+    tiles is reached by 2k pairs, two per diagonal.  max_codim
+    truncates the build below that grade.
 
     n = 3 is allowed and yields the one-point complex; it turns up as a
     factor of divisor subcomplexes.
@@ -572,33 +545,41 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
         if max_codim < 0:
             raise RangeError(f"max_codim must be >= 0, got {max_codim}")
         top = min(max_codim, top)
+    expected = closed_form_f_vector(n, mode)
     labelings = _labelings(n, mode)
     table = np.array(labelings, dtype=np.int8)
+    # a cell's code: the base-(n+1) value of its labels times the number
+    # of diagonal sets, plus the index of its set; it sorts as cells do
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    label_codes = table @ weights
     block_id = {_block(d, n, mode): t for t, d in enumerate(polygon_diagonals(n))}
 
-    cells = []
-    grade_range = {}
-    levels = {}
-    prev = None
+    cells, grade_range, levels = [], {}, {}
+    rows, sets, prev = table, np.zeros(len(table), dtype=np.int64), None
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
-        keep = (table[:, grade.first] < table[:, grade.last]).all(axis=2)
-        rows, sets = np.nonzero(keep)
-        dissections = tile_count(n, mode) * cayley_count(n, k)
-        if len(rows) << k != dissections:
+        codes, parents = _grow(grade, prev, rows, sets, weights, block_id)
+        codes, child = np.unique(codes, return_inverse=True)
+        if len(codes) != expected[k]:
             raise InvariantViolation(
-                f"grade {k}: {len(rows)} cells of {1 << k} members each, "
-                f"expected {dissections} normalized dissections")
-        grade.start = len(cells)
-        grade.codes = (table[rows] @ weights) * len(grade.sets) + sets
-        for index, (r, s) in enumerate(zip(rows.tolist(), sets.tolist()), grade.start):
-            cells.append(Cell(mode, labelings[r], grade.sets[s], 1 << k, index))
-        grade_range[k] = (grade.start, len(cells))
+                f"grade {k}: {len(codes)} cells, the closed form has {expected[k]}")
+        hits = np.bincount(child)
+        bad = np.flatnonzero(hits != 2 * k) if k else []
+        if len(bad):
+            raise InvariantViolation(
+                f"grade {k}: cell {len(cells) + bad[0]} is reached by "
+                f"{hits[bad[0]]} (parent, diagonal) pairs, not {2 * k}")
         if k:
-            raw = _incidence(grade, prev, table[rows], sets, weights, block_id)
-            levels[k] = _Level.from_raw(raw, 1 << (k - 1))
-        prev = grade
+            parents += grade_range[k - 1][0]
+            child += len(cells)
+            levels[k] = _Level.from_raw((parents << 32) | child, 1 << (k - 1))
+        del parents, child          # not held while the next grade grows
+        labels, sets = np.divmod(codes, len(grade.sets))
+        labels = np.searchsorted(label_codes, labels)
+        for index, (r, s) in enumerate(zip(labels.tolist(), sets.tolist()), len(cells)):
+            cells.append(Cell(mode, labelings[r], grade.sets[s], 1 << k, index))
+        grade_range[k] = (len(cells) - len(codes), len(cells))
+        rows, prev = table[labels], grade
 
     return ModuliComplex(n=n, mode=mode, cells=cells,
                          grade_range=grade_range, levels=levels)

@@ -83,8 +83,8 @@ def compose_single(g, a, h, b):
             f"composition bookkeeping broke: {result.n} sides, "
             f"{len(result.diagonals)} diagonals from {n1}+{n2} gluing")
     part, rest = result.split_labels((0, n1 - 1))
-    assert set(part) == surviving_g and set(rest) == surviving_h, \
-        "seam fails to separate the two polygons' labels"
+    if set(part) != surviving_g or set(rest) != surviving_h:
+        raise InvariantViolation("seam fails to separate the two polygons' labels")
     return result
 
 

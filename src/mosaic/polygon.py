@@ -22,6 +22,7 @@ from .errors import (
     AdjacentDiagonal,
     CrossingDiagonals,
     DuplicateLabel,
+    InvariantViolation,
     MismatchedPolygons,
     NoSuchDiagonal,
     RangeError,
@@ -170,7 +171,9 @@ def cayley_count(n, k):
     if not 0 <= k <= n - 3:
         raise RangeError(f"need 0 <= k <= {n - 3} for a {n}-gon, got k={k}")
     num = comb(n - 3, k) * comb(n - 1 + k, k)
-    assert num % (k + 1) == 0
+    if num % (k + 1):
+        raise InvariantViolation(f"C(n-3, k) * C(n-1+k, k) = {num} for n = {n}, "
+                                 f"k = {k} is not divisible by {k + 1}")
     return num // (k + 1)
 
 
@@ -204,7 +207,8 @@ def dihedral_canonical(diss):
     ref_key = tuple(label_sort_key(x) for x in reflected)
     # distinct labels make a tie impossible: equality would force the
     # cycle to be reflection symmetric, which pairs up unequal entries
-    assert rot_key != ref_key
+    if rot_key == ref_key:
+        raise InvariantViolation(f"the rotation and the reflection of {labels!r} tie")
     if rot_key < ref_key:
         new_labels = rotated
         diags = _map_diagonals(diss.diagonals, lambda v: v - r, n)
@@ -324,17 +328,20 @@ def dual_tree(diss):
     edges = []
     for d in diagonals:
         touching = [idx for idx, pairs in enumerate(region_edge_sets) if d in pairs]
-        assert len(touching) == 2, f"diagonal {d} borders {len(touching)} regions"
+        if len(touching) != 2:
+            raise InvariantViolation(f"diagonal {d} borders {len(touching)} regions")
         edges.append((touching[0], touching[1], d))
     leaves = []
     for pos in range(n):
         side = (pos, (pos + 1) % n)
         key = side if side[0] < side[1] else (side[1], side[0])
         owners = [idx for idx, pairs in enumerate(region_edge_sets) if key in pairs]
-        assert len(owners) == 1, f"side {side} borders {len(owners)} regions"
+        if len(owners) != 1:
+            raise InvariantViolation(f"side {side} borders {len(owners)} regions")
         leaves.append((owners[0], diss.labels[pos]))
-    assert len(regions) == len(diagonals) + 1
-    assert all(len(cycle) >= 3 for cycle in regions)
+    if len(regions) != len(diagonals) + 1 or min(map(len, regions)) < 3:
+        raise InvariantViolation(
+            f"{len(diagonals)} diagonals cut {[len(c) for c in regions]}-sided regions")
     return DualTree(regions=regions, edges=tuple(edges), leaves=tuple(leaves), n=n)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import factorial
 
-from .errors import NonBijective, NotSI, RangeError
+from .errors import InvariantViolation, NonBijective, NotSI, RangeError
 from .associahedron import reference_polygon
 from .moduli import marked_twist
 from .polygon import polygon_diagonals, superimpose
@@ -133,7 +133,9 @@ def conjugate_in(d, a):
     pair = _superimposed(d, a)
     twisted = marked_twist(pair, d.diagonal)
     rest = set(twisted.diagonals) - {d.diagonal}
-    assert len(rest) == 1
+    if len(rest) != 1:
+        raise InvariantViolation(
+            f"twisting {a.diagonal} in {d.diagonal} left {sorted(rest)}")
     return Generator(d.n, rest.pop())
 
 
@@ -174,7 +176,7 @@ def relations(n):
         elif bi <= ai and aj <= bj:
             outer, inner = b, a
         else:
-            raise AssertionError(
+            raise InvariantViolation(
                 f"noncommuting pair {a.diagonal}/{b.diagonal} is not nested")
         third = conjugate_in(outer, inner)
         rels.append(Relation("conjugation", (outer, inner), (third, outer)))

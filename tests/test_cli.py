@@ -6,7 +6,8 @@ import json
 
 import pytest
 
-from mosaic import cli
+from mosaic import cli, moduli
+from mosaic.errors import InvariantViolation
 from mosaic.moduli import PROJECTIVE, build_complex
 from mosaic.polygon import Dissection
 
@@ -54,6 +55,17 @@ def test_counts_table():
     assert run_cli("counts", "--n", "5") == (code, out, err)
 
 
+def test_a_broken_invariant_exits_as_a_failed_check(monkeypatch):
+    def broken(n, mode=PROJECTIVE, max_codim=None):
+        raise InvariantViolation(f"grade 1: broken on purpose at n = {n}")
+
+    monkeypatch.setattr(moduli, "build_complex", broken)
+    code, out, err = run_cli("counts", "--n", "5")
+    assert code == cli.MISMATCH == 2
+    assert out == ""
+    assert err.startswith("error: grade 1: broken on purpose")
+
+
 def test_counts_json():
     code, out, _ = run_cli("counts", "--n", "6", "--json")
     assert code == 0
@@ -80,7 +92,7 @@ def test_counts_range_and_enumeration_guards():
     assert "error:" in err
     code, _, err = run_cli("counts", "--n", "9", "--enumerate")
     assert code == 64
-    assert "enumeration" in err
+    assert "unrecognized arguments" in err
     code, _, err = run_cli("counts", "--n", "5", "--k", "7")
     assert code == 64
 

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from closure_reference import closure_build, closure_cell_class
+from mosaic import moduli
+from mosaic.errors import InvariantViolation
 from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, cell_class, marked_twist, twist
 from mosaic.polygon import Dissection
 
@@ -65,3 +67,35 @@ def test_cell_class_is_invariant_under_random_twist_sequences(mode, move):
             for _ in range(3 * n):
                 diss = move(diss, rng.choice(sorted(diss.diagonals)))
                 assert cell_class(diss, mode) == cell, diss
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_fails_without_the_least_member_rule(mode, monkeypatch):
+    monkeypatch.setattr(moduli, "_least", lambda rows, ids, tree, block_id: (rows, ids))
+    # the unturned results outnumber the cells: the tiles in the
+    # projective regime, the cells of grade 1 in the double cover
+    grade = 0 if mode == PROJECTIVE else 1
+    with pytest.raises(InvariantViolation,
+                       match=rf"^grade {grade}: \d+ cells, the closed form has \d+$"):
+        moduli.build_complex(5, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_checks_that_each_cell_is_reached_by_2k_pairs(mode, monkeypatch):
+    # move one result of grade 1 onto another cell: the grade keeps its
+    # cell count, but one cell is reached 2k - 1 times and one 2k + 1
+    least = moduli._least
+    moved = []
+
+    def skewed(rows, ids, tree, block_id):
+        rows, ids = least(rows, ids, tree, block_id)
+        other = np.flatnonzero((rows != rows[0]).any(axis=1))
+        if ids.shape[1] and len(other) and not moved:
+            rows[0], ids[0] = rows[other[0]], ids[other[0]]
+            moved.append(True)
+        return rows, ids
+
+    monkeypatch.setattr(moduli, "_least", skewed)
+    with pytest.raises(InvariantViolation,
+                       match=r"^grade 1: cell \d+ is reached by [13] .* not 2$"):
+        moduli.build_complex(5, mode)

@@ -1,5 +1,7 @@
-"""The package's entry points: `python -m mosaic` and `__all__`."""
+"""The package's entry points (`python -m mosaic`, `__all__`) and its
+library-wide rules."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -10,14 +12,30 @@ import mosaic
 from test_cli import run_cli
 
 
+SRC = Path(mosaic.__file__).resolve().parent
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ)
-    src = str(Path(mosaic.__file__).resolve().parent.parent)
+    src = str(SRC.parent)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-m", "mosaic", "counts", "--n", "5"],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert (done.returncode, done.stdout, done.stderr) == run_cli("counts", "--n", "5")
-    assert done.returncode == 0
+    for module in ("mosaic", "mosaic.cli"):
+        done = subprocess.run([sys.executable, "-m", module, "counts", "--n", "5"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stdout, done.stderr) == run_cli("counts", "--n", "5")
+        assert done.returncode == 0
+
+
+def test_library_raises_instead_of_asserting():
+    # `python -O` strips assert statements, so invariant checks raise
+    # InvariantViolation instead
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Assert) or (
+                    isinstance(node, ast.Name) and node.id == "AssertionError"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
 
 
 PUBLIC = (
