@@ -28,13 +28,16 @@ adjacent grades and its multiplicity.  A cell of codimension k lies on
 a cell of codimension k-1 when its dissection has one more diagonal,
 so each grade grows from the one above: add every compatible diagonal
 to every cell, then apply the rule to all results at once with numpy
-(`_least`).  The distinct results are the new grade's cells and each
-(cell, added diagonal) pair stands for 2^(k-1) incidences, as twists
-carry a cell's members and their added diagonals along together.  The
-n = 8 projective complex (260190 cells) builds in under two seconds.
-The build raises InvariantViolation unless every grade holds 1/2^k as
-many cells as normalized dissections and every cell of a grade k >= 1
-is reached by exactly 2k pairs.
+(`_least`).  The distinct results are the new grade's cells.  A cell
+of codimension k lies on exactly 2(k - codim_offset) distinct cells of
+codimension k-1 (codim_offset is 1 in a divisor subcomplex), each with
+multiplicity 2^(k-1), as twists carry a cell's members and their added
+diagonals along together; so a grade's incidence is one table with a
+sorted row of parents per cell.  The n = 8 projective complex (260190
+cells) builds in under two seconds.  The build raises
+InvariantViolation unless every grade holds 1/2^k as many cells as
+normalized dissections and every cell of a grade k >= 1 is reached by
+exactly 2k (cell, added diagonal) pairs from 2k distinct parents.
 """
 
 from __future__ import annotations
@@ -276,41 +279,24 @@ def cell_class(diss, mode):
 
 
 class _Level:
-    """Incidence between two adjacent grades, with multiplicity.
+    """Incidence between grade k and the grade above it.
 
-    Stored twice as sorted (parent<<32 | child) and (child<<32 | parent)
-    code arrays for range queries from either end.
+    Row i of parents lists, in increasing order, the 2(k - codim_offset)
+    distinct cells of grade k-1 on which cell start + i lies; each of
+    these incidences has multiplicity 2^(k-1).
     """
 
-    __slots__ = ("pc_codes", "pc_counts", "cp_codes", "cp_counts")
+    __slots__ = ("start", "parents")
 
-    def __init__(self, codes, counts):
-        order = np.argsort(codes, kind="stable")
-        self.pc_codes = codes[order]
-        self.pc_counts = counts[order]
-        child_major = ((codes & 0xFFFFFFFF) << 32) | (codes >> 32)
-        order = np.argsort(child_major, kind="stable")
-        self.cp_codes = child_major[order]
-        self.cp_counts = counts[order]
+    def __init__(self, start, parents):
+        self.start = start
+        self.parents = parents
 
-    @classmethod
-    def from_raw(cls, raw, weight):
-        # each occurrence of a code in raw stands for `weight` incidences
-        codes, counts = np.unique(raw, return_counts=True)
-        return cls(codes, counts.astype(np.int64) * weight)
-
-    def _range(self, codes, gid):
-        lo = np.searchsorted(codes, gid << 32)
-        hi = np.searchsorted(codes, (gid + 1) << 32)
-        return lo, hi
-
-    def parents_of(self, child_gid):
-        lo, hi = self._range(self.cp_codes, child_gid)
-        return (self.cp_codes[lo:hi] & 0xFFFFFFFF, self.cp_counts[lo:hi])
-
-    def pairs(self):
-        for code, count in zip(self.pc_codes.tolist(), self.pc_counts.tolist()):
-            yield code >> 32, code & 0xFFFFFFFF, count
+    @property
+    def pc_codes(self):
+        """Sorted (parent<<32 | child) codes, one per incidence pair."""
+        child = np.arange(self.start, self.start + len(self.parents), dtype=np.int64)
+        return np.sort((self.parents.astype(np.int64) << 32) | child[:, None], axis=None)
 
 
 def _labelings(n, mode):
@@ -378,7 +364,7 @@ class ModuliComplex:
         self.levels = dict(levels)
         self.codim_offset = codim_offset
         self.divisor_set = divisor_set
-        self._lookup = {(c.labels, c.diagonals): c.index for c in self.cells}
+        self._lookup = {c: c.index for c in self.cells}
 
     # -- shape ------------------------------------------------------------
 
@@ -425,8 +411,8 @@ class ModuliComplex:
         return self.resolve(cell)
 
     def resolve(self, cell):
-        gid = self._lookup.get((cell.labels, cell.diagonals))
-        if gid is None or self.cells[gid].mode != cell.mode:
+        gid = self._lookup.get(cell)
+        if gid is None:
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
         return self.cells[gid]
 
@@ -439,46 +425,39 @@ class ModuliComplex:
         cell = self.resolve(cell)
         k = cell.codim
         out = {0: 1}
-        frontier = {cell.index}
+        frontier = np.array([cell.index])
         for t in range(1, k - self.codim_offset + 1):
             level = self.levels[k - t + 1]
-            above = set()
-            for gid in frontier:
-                above.update(level.parents_of(gid)[0].tolist())
-            frontier = above
+            frontier = np.unique(level.parents[frontier - level.start])
             out[t] = len(frontier)
         return out
 
     def boundary_pairs(self):
-        """Iterate (parent index, child index, multiplicity), graded order."""
+        """Iterate (parent index, child index, multiplicity).
+
+        Grade by grade; within a grade by child, then by parent.
+        """
         for k in sorted(self.levels):
-            yield from self.levels[k].pairs()
+            level = self.levels[k]
+            for child, parents in enumerate(level.parents.tolist(), level.start):
+                for parent in parents:
+                    yield parent, child, 1 << (k - 1)
 
     def tile_adjacency(self):
         """Dual graph of the tiling: tiles as nodes, one edge per shared facet."""
         mid = self.codim_offset + 1
         if mid not in self.grade_range:
             raise RangeError("complex too shallow for a tile adjacency graph")
-        edges = []
-        for cell in self.cells_at(mid):
-            parents, counts = self.levels[mid].parents_of(cell.index)
-            parents = parents.tolist()
-            total = int(counts.sum())
-            if total != 2:
-                raise InvariantViolation(
-                    f"facet cell {cell.index} borders {total} tile slots")
-            if len(parents) == 1:
-                edges.append((parents[0], parents[0], cell.index))
-            else:
-                u, v = sorted(parents)
-                edges.append((u, v, cell.index))
+        level = self.levels[mid]
+        edges = tuple((u, v, facet)
+                      for facet, (u, v) in enumerate(level.parents.tolist(), level.start))
         tiles = tuple(c.index for c in self.tiles())
-        return TileAdjacency(tiles=tiles, edges=tuple(edges))
+        return TileAdjacency(tiles=tiles, edges=edges)
 
 
 @dataclass(frozen=True)
 class TileAdjacency:
-    """Tiles as vertices; one edge (possibly a loop) per shared facet."""
+    """Tiles as vertices; one edge per shared facet, between two tiles."""
 
     tiles: tuple
     edges: tuple                 # (tile, tile, facet cell index)
@@ -494,8 +473,7 @@ class TileAdjacency:
         out = {t: [] for t in self.tiles}
         for u, v, _ in self.edges:
             out[u].append(v)
-            if u != v:
-                out[v].append(u)
+            out[v].append(u)
         return out
 
 
@@ -522,16 +500,43 @@ def _grow(grade, prev, rows, sets, weights, block_id):
     return np.concatenate(codes), np.concatenate(parents)
 
 
+def _parent_table(k, start, child, parents):
+    """The parents of each cell of grade k as one sorted row of 2k per cell.
+
+    child and parents give each (parent, added diagonal) pair's cell
+    (counted from start) and parent.  InvariantViolation is raised
+    unless every cell is reached by 2k pairs with distinct parents.
+    """
+    hits = np.bincount(child)
+    bad = np.flatnonzero(hits != 2 * k)
+    if len(bad):
+        raise InvariantViolation(
+            f"grade {k}: cell {start + bad[0]} is reached by "
+            f"{hits[bad[0]]} (parent, diagonal) pairs, not {2 * k}")
+    # one sort orders the pairs by cell and each cell's parents
+    width = int(parents.max()) + 1
+    table = (np.sort(child * width + parents) % width).reshape(-1, 2 * k)
+    repeats = table[:, 1:] == table[:, :-1]
+    bad = np.flatnonzero(repeats.any(axis=1))
+    if len(bad):
+        row = table[bad[0]]
+        raise InvariantViolation(
+            f"grade {k}: cell {start + bad[0]} is reached more than once "
+            f"from cell {row[1:][repeats[bad[0]]][0]}")
+    return table.astype(np.int32)
+
+
 def build_complex(n, mode=PROJECTIVE, max_codim=None):
     """Enumerate the full cell complex for one n.
 
     Each grade grows from the one above: grade 0 from every labeling,
     grade k by adding each compatible diagonal to each cell of grade
     k-1.  The distinct least members of the results are the grade's
-    cells, and each (parent, added diagonal) pair stands for 2^(k-1)
-    incidences.  InvariantViolation is raised unless a grade holds as
-    many cells as closed_form_f_vector says and each cell below the
-    tiles is reached by 2k pairs, two per diagonal.  max_codim
+    cells, and the parents of the pairs reaching a cell are its row of
+    the grade's parent table; each incidence has multiplicity 2^(k-1).
+    InvariantViolation is raised unless a grade holds as many cells as
+    closed_form_f_vector says and each cell below the tiles is reached
+    by 2k pairs, two per diagonal, from 2k distinct parents.  max_codim
     truncates the build below that grade.
 
     n = 3 is allowed and yields the one-point complex; it turns up as a
@@ -563,16 +568,9 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
         if len(codes) != expected[k]:
             raise InvariantViolation(
                 f"grade {k}: {len(codes)} cells, the closed form has {expected[k]}")
-        hits = np.bincount(child)
-        bad = np.flatnonzero(hits != 2 * k) if k else []
-        if len(bad):
-            raise InvariantViolation(
-                f"grade {k}: cell {len(cells) + bad[0]} is reached by "
-                f"{hits[bad[0]]} (parent, diagonal) pairs, not {2 * k}")
         if k:
-            parents += grade_range[k - 1][0]
-            child += len(cells)
-            levels[k] = _Level.from_raw((parents << 32) | child, 1 << (k - 1))
+            levels[k] = _Level(len(cells), _parent_table(
+                k, len(cells), child, parents + grade_range[k - 1][0]))
         del parents, child          # not held while the next grade grows
         labels, sets = np.divmod(codes, len(grade.sets))
         labels = np.searchsorted(label_codes, labels)
@@ -706,31 +704,30 @@ def divisor_subcomplex(complex_, subset):
             continue
         if _separating_diagonal(cell, S) is not None:
             selected.append(cell.index)
-    selected_arr = np.asarray(selected, dtype=np.int64)
-    new_id = np.full(len(complex_.cells), -1, dtype=np.int64)
-    new_id[selected_arr] = np.arange(len(selected))
-    keep_mask = new_id >= 0
+    selected = np.asarray(selected, dtype=np.int64)
+    new_id = np.full(len(complex_.cells), -1, dtype=np.int32)
+    new_id[selected] = np.arange(len(selected))
 
-    cells = [replace(complex_.cells[g], index=int(new_id[g])) for g in selected]
-    grade_range = {}
-    for k in sorted(complex_.grade_range):
-        if k == 0:
+    cells = [replace(complex_.cells[g], index=t) for t, g in enumerate(selected.tolist())]
+    grade_range, levels = {}, {}
+    for k, (start, end) in sorted(complex_.grade_range.items()):
+        lo, hi = np.searchsorted(selected, (start, end)).tolist()
+        if lo == hi:                # no cell of grade 0 is selected
             continue
-        members = [c for c in cells if c.codim == k]
-        if members:
-            grade_range[k] = (members[0].index, members[-1].index + 1)
-    levels = {}
-    for k in sorted(complex_.levels):
-        if k <= 1:
-            continue
-        level = complex_.levels[k]
-        parent = level.pc_codes >> 32
-        child = level.pc_codes & 0xFFFFFFFF
-        keep = keep_mask[parent] & keep_mask[child]
-        if not keep.any():
-            continue
-        codes = (new_id[parent[keep]] << 32) | new_id[child[keep]]
-        levels[k] = _Level(codes, level.pc_counts[keep])
+        grade_range[k] = (lo, hi)
+        if k >= 2:
+            level = complex_.levels[k]
+            # renumbering keeps each row sorted; the parents outside the
+            # divisor drop out and 2(k-1) stay
+            rows = new_id[level.parents[selected[lo:hi] - level.start]]
+            keep = rows >= 0
+            width = keep.sum(axis=1)
+            bad = np.flatnonzero(width != 2 * (k - 1))
+            if len(bad):
+                raise InvariantViolation(
+                    f"grade {k}: divisor cell {lo + bad[0]} lies on {width[bad[0]]} "
+                    f"divisor cells of grade {k - 1}, not {2 * (k - 1)}")
+            levels[k] = _Level(lo, rows[keep].reshape(hi - lo, 2 * (k - 1)))
     return ModuliComplex(n=n, mode=PROJECTIVE, cells=cells,
                          grade_range=grade_range, levels=levels,
                          codim_offset=1, divisor_set=S)
@@ -890,8 +887,9 @@ class CoveringReport:
 def covering_map(cover, projective):
     """Map each double-cover cell to its projective cell and verify.
 
-    Every fiber must have exactly two cells and the boundary incidences
-    must commute with the mapping, double counts included.
+    Every fiber must have exactly two cells, and the parents of each
+    cell must map one-to-one onto the parents of its image; the
+    incidences on both sides have multiplicity 2^(k-1).
     """
     if cover.mode != DOUBLE_COVER or projective.mode != PROJECTIVE:
         raise MosaicError("need a double-cover complex and a projective complex")
@@ -911,20 +909,17 @@ def covering_map(cover, projective):
             report.failures.append(
                 f"fiber over projective cell {cell.index} has {fibers[cell.index]} cells")
 
+    image = np.array(mapping)
     for k in sorted(cover.levels):
-        pushed = Counter()
-        for p, c, count in cover.levels[k].pairs():
-            pushed[(mapping[p], mapping[c])] += count
-        base = {(p, c): count for p, c, count in projective.levels[k].pairs()}
-        for pair, count in pushed.items():
-            if pair not in base:
-                report.failures.append(
-                    f"grade {k}: covering incidence {pair} missing downstairs")
-        for pair, count in base.items():
-            if pushed.get(pair, 0) != 2 * count:
-                report.failures.append(
-                    f"grade {k}: incidence {pair} lifts with multiplicity "
-                    f"{pushed.get(pair, 0)}, expected {2 * count}")
+        lift, base = cover.levels[k], projective.levels[k]
+        targets = image[lift.start:lift.start + len(lift.parents)]
+        pushed = np.sort(image[lift.parents], axis=1)
+        want = base.parents[targets - base.start]
+        for row in np.flatnonzero((pushed != want).any(axis=1)).tolist():
+            report.failures.append(
+                f"grade {k}: the parents of cell {lift.start + row} map to "
+                f"{pushed[row].tolist()}, the parents of its image {targets[row]} "
+                f"are {want[row].tolist()}")
     return report
 
 

@@ -7,11 +7,10 @@ follows the definition directly, so the tests compare `cell_class` and
 `build_complex` against it.
 """
 
+from collections import Counter
 from itertools import permutations
 
-import numpy as np
-
-from mosaic.moduli import PROJECTIVE, Cell, _Level
+from mosaic.moduli import PROJECTIVE, Cell
 from mosaic.polygon import enumerate_diagonal_sets
 
 
@@ -98,10 +97,10 @@ def closure_build(n, mode):
     """Cells and levels of the full complex, by closure over every grade.
 
     Returns (cells, levels): cells as (labels, diagonals, index, size)
-    tuples in index order, levels as {k: _Level}.  Each normalized
-    dissection is one member of one class; the incidence of a class
-    with a parent class counts the pairs of a member and a diagonal
-    whose deletion lands in the parent.
+    tuples in index order, levels as {k: {(parent, child): multiplicity}}.
+    Each normalized dissection is one member of one class; the incidence
+    of a class with a parent class counts the pairs of a member and a
+    diagonal whose deletion lands in the parent.
     """
     labelings = _labelings(n, mode)
     cells = []
@@ -125,12 +124,8 @@ def closure_build(n, mode):
             gid[local] = len(cells)
             cells.append(reps[local] + (len(cells), sizes[local]))
         if k:
-            raw = []
-            for (labels, diags), local in class_of.items():
-                for t in range(k):
-                    parent = prev_class[(labels, diags[:t] + diags[t + 1:])]
-                    raw.append((prev_gid[parent] << 32) | gid[local])
-            codes, counts = np.unique(np.array(raw, dtype=np.int64), return_counts=True)
-            levels[k] = _Level(codes, counts.astype(np.int64))
+            levels[k] = Counter(
+                (prev_gid[prev_class[(labels, diags[:t] + diags[t + 1:])]], gid[local])
+                for (labels, diags), local in class_of.items() for t in range(k))
         prev_class, prev_gid = class_of, gid
     return cells, levels

@@ -41,10 +41,12 @@ def test_build_matches_closure(n, mode, cache):
     cells, levels = closure_build(n, mode)
     assert [(c.labels, c.diagonals, c.index, c.size) for c in complex_.cells] == cells
     assert sorted(complex_.levels) == sorted(levels)
+    pairs = list(complex_.boundary_pairs())
+    assert {(p, c): m for p, c, m in pairs} == {
+        pair: m for level in levels.values() for pair, m in level.items()}
+    assert len(pairs) == sum(map(len, levels.values()))
     for k, level in levels.items():
-        for name in ("pc_codes", "pc_counts", "cp_codes", "cp_counts"):
-            assert np.array_equal(getattr(complex_.levels[k], name),
-                                  getattr(level, name)), (k, name)
+        assert complex_.levels[k].pc_codes.tolist() == sorted((p << 32) | c for p, c in level)
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -98,4 +100,23 @@ def test_build_checks_that_each_cell_is_reached_by_2k_pairs(mode, monkeypatch):
     monkeypatch.setattr(moduli, "_least", skewed)
     with pytest.raises(InvariantViolation,
                        match=r"^grade 1: cell \d+ is reached by [13] .* not 2$"):
+        moduli.build_complex(5, mode)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_build_checks_that_each_cell_has_2k_distinct_parents(mode, monkeypatch):
+    # let one cell of grade 1 be reached twice from the same parent: it
+    # keeps its 2k pairs, but they come from fewer than 2k cells
+    grow = moduli._grow
+
+    def repeated(grade, prev, *args):
+        codes, parents = grow(grade, prev, *args)
+        if grade.ids.shape[1] == 1:
+            twin = np.flatnonzero(codes == codes[0])
+            parents[twin[1]] = parents[twin[0]]
+        return codes, parents
+
+    monkeypatch.setattr(moduli, "_grow", repeated)
+    with pytest.raises(InvariantViolation,
+                       match=r"^grade 1: cell \d+ is reached more than once from cell \d+$"):
         moduli.build_complex(5, mode)

@@ -326,6 +326,34 @@ def test_divisor_factorization_for_the_hexagon(cache):
     assert report.sub_f_vector == (12, 30, 15)
 
 
+def test_divisor_coboundaries_follow_the_doubling_law(cache):
+    # a divisor is a complex of dimension one less: a cell of ambient
+    # codim k lies under 2^t C(k-1, t) of its cells t grades up
+    complex_ = cache.full(6)
+    for subset in divisor_label_classes(6):
+        sub = divisor_subcomplex(complex_, subset)
+        for cell in sub.cells:
+            k = cell.codim
+            expected = {t: (2 ** t) * comb(k - 1, t) for t in range(k)}
+            assert sub.coboundary_counts(cell) == expected, (sorted(subset), cell)
+        sub.tile_adjacency()
+
+
+def test_divisor_names_a_cell_with_the_wrong_number_of_parents():
+    complex_ = build_complex(5)
+    sub = divisor_subcomplex(complex_, {1, 2})
+    inside = {complex_.resolve(cell).index for cell in sub.cells}
+    # move one divisor parent of the divisor's first vertex off the divisor
+    vertex = sub.cells_at(2)[0]
+    level = complex_.levels[2]
+    row = level.parents[complex_.resolve(vertex).index - level.start]
+    row[[p in inside for p in row.tolist()].index(True)] = next(
+        e for e in range(*complex_.grade_range[1]) if e not in inside)
+    with pytest.raises(InvariantViolation, match=rf"^grade 2: divisor cell {vertex.index} "
+                       r"lies on 1 divisor cells of grade 1, not 2$"):
+        divisor_subcomplex(complex_, {1, 2})
+
+
 def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):
     complex_ = cache.full(5)
     swapped = (cache.full(4), cache.full(3))
@@ -364,6 +392,21 @@ def test_covering_map_is_two_to_one(n, cache):
     report = covering_map(cache.full(n, DOUBLE_COVER), cache.full(n))
     assert report.passed, report.failures[:3]
     assert len(report.mapping) == 2 * sum(F_PROJECTIVE[n])
+
+
+def test_covering_map_names_a_lift_whose_parents_do_not_match(cache):
+    projective = cache.full(5)
+    cover = build_complex(5, DOUBLE_COVER)
+    image = covering_map(cover, projective).mapping
+    # give the first vertex of the cover an edge over no parent of its image
+    level = cover.levels[2]
+    row = level.parents[0]
+    row[0] = next(e for e in range(*cover.grade_range[1])
+                  if image[e] not in {image[p] for p in row})
+    row.sort()
+    report = covering_map(cover, projective)
+    assert len(report.failures) == 1
+    assert report.failures[0].startswith(f"grade 2: the parents of cell {level.start} map to ")
 
 
 def test_covering_map_guards(cache):
