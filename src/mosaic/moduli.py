@@ -38,6 +38,10 @@ cells) builds in under two seconds.  The build raises
 InvariantViolation unless every grade holds 1/2^k as many cells as
 normalized dissections and every cell of a grade k >= 1 is reached by
 exactly 2k (cell, added diagonal) pairs from 2k distinct parents.
+
+The queries read the cells and parent tables and build no Dissection:
+divisors, the covering map and the boundary walks of surface
+recognition.
 """
 
 from __future__ import annotations
@@ -65,7 +69,6 @@ from .errors import (
 from .polygon import (
     Dissection,
     cayley_count,
-    diagonals_cross,
     enumerate_diagonal_sets,
     normalize_diagonal,
     polygon_diagonals,
@@ -259,11 +262,17 @@ def cell_class(diss, mode):
     n = diss.n
     if set(diss.labels) != set(range(1, n + 1)):
         raise UnknownLabel(f"cell classes need labels 1..{n}, got {diss.labels!r}")
-    labels = diss.labels
+    return _least_cell(diss.labels, diss.diagonals, mode)
+
+
+def _least_cell(labels, diagonals, mode):
+    # cell_class for labels 1..n and diagonals already known valid,
+    # such as a cell's own or those of a piece of one
+    n = len(labels)
     r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
     labels = labels[r:] + labels[:r]
     blocks = []
-    for u, v in diss.diagonals:
+    for u, v in diagonals:
         u, v = (u - r) % n, (v - r) % n
         blocks.append(_block((u, v) if u < v else (v, u), n, mode))
     for node in _tree(blocks, n, mode):
@@ -661,10 +670,12 @@ def euler_proof_sum(n):
 
 
 def _separating_diagonal(cell, subset):
+    # the vertex arcs (x, y) of the S side and of the complement side of
+    # the cell's diagonal that splits off the labels in subset, or None
     labels = cell.labels
     n = len(labels)
     complement = set(range(1, n + 1)) - subset
-    hit = None
+    hit = arcs = None
     for d in cell.diagonals:
         i, j = d
         part = set(labels[i:j])
@@ -673,8 +684,8 @@ def _separating_diagonal(cell, subset):
                 raise InvariantViolation(
                     f"cell {cell.index}: diagonals {hit} and {d} both cut off "
                     f"{sorted(subset)}")
-            hit = d
-    return hit
+            hit, arcs = d, ((i, j), (j, i)) if part == subset else ((j, i), (i, j))
+    return arcs
 
 
 def divisor_subcomplex(complex_, subset):
@@ -683,12 +694,16 @@ def divisor_subcomplex(complex_, subset):
     The subset is normalized to omit n (a diagonal separates S exactly
     when it separates the complement).  The result is a ModuliComplex
     with codim_offset 1 whose top cells are the codim-1 cells of the
-    ambient complex carrying the split.
+    ambient complex carrying the split; a lower cell belongs to it when
+    a parent in its parent-table row does.  It needs grade 1 built.
     """
     if complex_.mode != PROJECTIVE:
         raise MosaicError("divisor subcomplexes live in the projective complex")
     if complex_.codim_offset != 0:
         raise MosaicError("cannot take a divisor of a divisor")
+    if 1 not in complex_.grade_range:
+        raise RangeError("a divisor needs grade 1 of the ambient complex, "
+                         "which this complex is not built to")
     n = complex_.n
     S = frozenset(subset)
     if not S <= set(range(1, n + 1)):
@@ -698,22 +713,25 @@ def divisor_subcomplex(complex_, subset):
     if n in S:
         S = frozenset(range(1, n + 1)) - S
 
-    selected = []
-    for cell in complex_.cells:
-        if cell.codim == 0:
-            continue
-        if _separating_diagonal(cell, S) is not None:
-            selected.append(cell.index)
-    selected = np.asarray(selected, dtype=np.int64)
+    # twists keep every diagonal's label split and deleting a diagonal
+    # keeps the others, so above grade 1 a cell is in the divisor exactly
+    # when one of its parents is
+    start, end = complex_.grade_range[1]
+    inside = np.zeros(len(complex_.cells), dtype=bool)
+    inside[start:end] = [_separating_diagonal(cell, S) is not None
+                         for cell in complex_.cells[start:end]]
+    for k in range(2, complex_.max_codim + 1):
+        level = complex_.levels[k]
+        inside[level.start:level.start + len(level.parents)] = \
+            inside[level.parents].any(axis=1)
+    selected = np.flatnonzero(inside)
     new_id = np.full(len(complex_.cells), -1, dtype=np.int32)
     new_id[selected] = np.arange(len(selected))
 
     cells = [replace(complex_.cells[g], index=t) for t, g in enumerate(selected.tolist())]
     grade_range, levels = {}, {}
-    for k, (start, end) in sorted(complex_.grade_range.items()):
-        lo, hi = np.searchsorted(selected, (start, end)).tolist()
-        if lo == hi:                # no cell of grade 0 is selected
-            continue
+    for k in range(1, complex_.max_codim + 1):
+        lo, hi = np.searchsorted(selected, complex_.grade_range[k]).tolist()
         grade_range[k] = (lo, hi)
         if k >= 2:
             level = complex_.levels[k]
@@ -745,7 +763,7 @@ def _arc_subdissection(labels, diagonals, x, y, label_map, seam_label):
         if du <= span and dv <= span and {du, dv} != {0, span}:
             a, b = (du, dv) if du < dv else (dv, du)
             inner.append((a, b))
-    return Dissection(side_labels + (seam_label,), frozenset(inner))
+    return side_labels + (seam_label,), inner
 
 
 @dataclass
@@ -778,8 +796,11 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     Splitting every cell along its separating diagonal and relabeling
     each half must give a bijection onto pairs of cells of the
     (|S|+1)-gon and (n-|S|+1)-gon complexes, shifting grades by one and
-    matching the incidence relation in both directions.
+    matching the incidence relation in both directions.  Each half is
+    looked up from the cell's own labels and diagonals.
     """
+    if not complex_.is_full_depth():
+        raise MosaicError("divisor factorization needs a fully built complex")
     sub = divisor_subcomplex(complex_, subset)
     S = sub.divisor_set
     n = complex_.n
@@ -801,17 +822,13 @@ def verify_divisor_factorization(complex_, subset, factors=None):
 
     image = {}
     for cell in sub.cells:
-        d = _separating_diagonal(cell, S)
-        i, j = d
-        if set(cell.labels[i:j]) == S:
-            arc_s, arc_c = (i, j), (j, i)
-        else:
-            arc_s, arc_c = (j, i), (i, j)
-        diags = sorted(cell.diagonals)
-        half_s = _arc_subdissection(cell.labels, diags, *arc_s, map_s, m1)
-        half_c = _arc_subdissection(cell.labels, diags, *arc_c, map_c, m2)
-        cs = factor_s.cell_for(half_s)
-        cc = factor_c.cell_for(half_c)
+        halves = []
+        arcs = _separating_diagonal(cell, S)
+        for factor, arc, label_map in zip(factors, arcs, (map_s, map_c)):
+            labels, diags = _arc_subdissection(cell.labels, cell.diagonals,
+                                               *arc, label_map, factor.n)
+            halves.append(factor.resolve(_least_cell(labels, diags, factor.mode)))
+        cs, cc = halves
         image[cell.index] = (cs.index, cc.index)
         report.cells_checked += 1
         if cell.codim != cs.codim + cc.codim + 1:
@@ -887,9 +904,11 @@ class CoveringReport:
 def covering_map(cover, projective):
     """Map each double-cover cell to its projective cell and verify.
 
-    Every fiber must have exactly two cells, and the parents of each
-    cell must map one-to-one onto the parents of its image; the
-    incidences on both sides have multiplicity 2^(k-1).
+    A cell's image is the projective least member of its own labels and
+    diagonals: the map forgets the orientation of the root node.  Every
+    fiber must have exactly two cells, and the parent-table row of each
+    cell must map one-to-one onto the row of its image; the incidences
+    on both sides have multiplicity 2^(k-1).
     """
     if cover.mode != DOUBLE_COVER or projective.mode != PROJECTIVE:
         raise MosaicError("need a double-cover complex and a projective complex")
@@ -898,9 +917,8 @@ def covering_map(cover, projective):
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
     report = CoveringReport(n=cover.n)
-    mapping = []
-    for cell in cover.cells:
-        mapping.append(projective.cell_for(cell.representative).index)
+    mapping = [projective.resolve(_least_cell(cell.labels, cell.diagonals, PROJECTIVE)).index
+               for cell in cover.cells]
     report.mapping = tuple(mapping)
 
     fibers = Counter(mapping)
@@ -939,86 +957,67 @@ class SurfaceReport:
     vertices: int
 
 
-def _tile_boundary_cycle(complex_, tile):
-    # boundary of the 2-cell as an alternating cycle of edge and vertex
-    # slots, read off the compatible-diagonal structure of the tile's
-    # representative
-    n = complex_.n
-    base = tuple(sorted(tile.diagonals))
-    labels = tile.labels
-    candidates = [d for d in polygon_diagonals(n)
-                  if d not in base
-                  and all(not diagonals_cross(d, e, n) for e in base)]
+def _tile_boundaries(complex_):
+    """Walk once around each tile's boundary through the parent tables.
 
-    def classify(extra):
-        diags = frozenset(base) | frozenset(extra)
-        return complex_.cell_for(Dissection(labels, diags)).index
+    An edge's endpoints are the two vertices whose rows hold it, and a
+    vertex on a tile meets two of the tile's edges.  Returns each tile's
+    walk as (edge, from vertex, to vertex) triples; NotASurface names the
+    edge or the tile where the tables break either rule.
+    """
+    offset = complex_.codim_offset
+    edges, vertices = complex_.levels[offset + 1], complex_.levels[offset + 2]
+    held = vertices.parents.ravel() - edges.start
+    count = np.bincount(held, minlength=len(edges.parents))
+    bad = np.flatnonzero(count != 2)
+    if len(bad):
+        raise NotASurface(f"edge cell {edges.start + bad[0]} has {count[bad[0]]} "
+                          f"endpoint vertices, not 2")
+    # entry i of the flattened rows belongs to vertex row i // width
+    ends = np.argsort(held, kind="stable") // vertices.parents.shape[1] + vertices.start
+    ends = ends.reshape(-1, 2).tolist()
+    rows = vertices.parents.tolist()
 
-    edge_cells = {e: classify((e,)) for e in candidates}
-    corner = {}
-    fans = {e: [] for e in candidates}
-    for a in range(len(candidates)):
-        for b in range(a + 1, len(candidates)):
-            e, f = candidates[a], candidates[b]
-            if not diagonals_cross(e, f, n):
-                corner[(e, f)] = classify((e, f))
-                fans[e].append((e, f))
-                fans[f].append((e, f))
-    for e, pair_list in fans.items():
-        if len(pair_list) != 2:
-            raise NotASurface(
-                f"tile {tile.index}: boundary edge {e} meets {len(pair_list)} corners")
-
-    start = candidates[0]
-    cycle = []
-    prev_corner = fans[start][0]
-    edge = start
-    for _ in range(len(candidates)):
-        next_corner = next(c for c in fans[edge] if c != prev_corner)
-        cycle.append((edge_cells[edge], corner[prev_corner], corner[next_corner]))
-        shared = next_corner
-        edge = shared[0] if shared[1] == edge else shared[1]
-        prev_corner = next_corner
-    if edge != start:
-        raise NotASurface(f"tile {tile.index}: boundary is not a single cycle")
-    return cycle
+    # cells are numbered from the tiles on, so a tile's index is its rank
+    sides = [[] for _ in complex_.tiles()]
+    for e, row in enumerate(edges.parents.tolist(), edges.start):
+        for tile in row:
+            sides[tile].append(e)
+    walks = []
+    for tile, side in enumerate(sides):
+        on_tile = set(side)
+        e, v, walk = side[0], ends[side[0] - edges.start][0], []
+        for _ in side:
+            x, y = ends[e - edges.start]
+            u, v = v, y if x == v else x
+            walk.append((e, u, v))
+            at = [f for f in rows[v - vertices.start] if f in on_tile]
+            if len(at) != 2:
+                raise NotASurface(f"tile {tile}: vertex cell {v} meets {len(at)} "
+                                  f"of its edges, not 2")
+            e = at[1] if at[0] == e else at[0]
+        if len({edge for edge, _, _ in walk}) != len(side):
+            raise NotASurface(f"tile {tile}: boundary is not a single cycle")
+        walks.append(walk)
+    return walks
 
 
 def classify_surface(complex_):
     """Identify a closed surface from its tiling.
 
-    Requires a 2-dimensional complex where every edge cell borders
-    exactly two tile slots.  Orientability is decided by 2-coloring
-    tiles so that every shared edge is traversed in opposite directions;
-    the name then follows from the Euler characteristic.
+    Requires a 2-dimensional complex built to full depth.  Orientability
+    is decided by 2-coloring tiles so that every shared edge is traversed
+    in opposite directions by the boundary walks read off the parent
+    tables; the name then follows from the Euler characteristic.
     """
     if complex_.dimension != 2:
         raise NotASurface(f"complex has dimension {complex_.dimension}, need 2")
     if complex_.max_codim - complex_.codim_offset != 2:
         raise NotASurface("complex is not built to full depth")
-    f = complex_.f_vector()
-    n_tiles, n_edges, n_vertices = f
+    n_tiles, n_edges, n_vertices = complex_.f_vector()
     euler = n_tiles - n_edges + n_vertices
 
-    slots = {}
-    tiles = complex_.tiles()
-    tile_rank = {cell.index: t for t, cell in enumerate(tiles)}
-    for cell in tiles:
-        for edge_gid, corner_a, corner_b in _tile_boundary_cycle(complex_, cell):
-            if corner_a == corner_b:
-                raise NotASurface(
-                    f"edge cell {edge_gid} has coinciding endpoints in tile {cell.index}")
-            slots.setdefault(edge_gid, []).append(
-                (tile_rank[cell.index], (corner_a, corner_b)))
-
-    for edge_gid, entries in slots.items():
-        if len(entries) != 2:
-            raise NotASurface(f"edge cell {edge_gid} borders {len(entries)} tile slots")
-        (_, dir1), (_, dir2) = entries
-        if set(dir1) != set(dir2):
-            raise NotASurface(f"edge cell {edge_gid} glues mismatched endpoints")
-
-    orientable = _propagate_orientation(len(tiles), slots)
+    orientable = _propagate_orientation(_tile_boundaries(complex_))
 
     if orientable:
         if euler % 2:
@@ -1039,26 +1038,24 @@ def classify_surface(complex_):
                          edges=n_edges, vertices=n_vertices)
 
 
-def _propagate_orientation(tile_count_, slots):
-    # constraints: tiles traversing a shared edge in the same direction
-    # must take opposite orientations, in reversed directions the same
-    constraints = {t: [] for t in range(tile_count_)}
-    forced_nonorientable = False
-    for entries in slots.values():
-        (t1, dir1), (t2, dir2) = entries
-        same = dir1 == dir2
-        if t1 == t2:
-            if same:
-                forced_nonorientable = True
-            continue
-        sign = -1 if same else 1
-        constraints[t1].append((t2, sign))
-        constraints[t2].append((t1, sign))
+def _propagate_orientation(walks):
+    # tiles traversing a shared edge in the same direction must take
+    # opposite orientations, in reversed directions the same; each edge
+    # is walked by the two tiles of its row
+    constraints, first = [[] for _ in walks], {}
+    for t, walk in enumerate(walks):
+        for edge, u, _ in walk:
+            if edge not in first:
+                first[edge] = t, u
+                continue
+            other, start = first[edge]
+            sign = -1 if start == u else 1
+            constraints[t].append((other, sign))
+            constraints[other].append((t, sign))
 
-    orientation = [0] * tile_count_
+    orientation = [0] * len(walks)
     orientation[0] = 1
     queue = [0]
-    seen = 1
     consistent = True
     while queue:
         t = queue.pop()
@@ -1066,10 +1063,9 @@ def _propagate_orientation(tile_count_, slots):
             want = orientation[t] * sign
             if orientation[other] == 0:
                 orientation[other] = want
-                seen += 1
                 queue.append(other)
             elif orientation[other] != want:
                 consistent = False
-    if seen != tile_count_:
+    if 0 in orientation:
         raise NotASurface("complex is not connected")
-    return consistent and not forced_nonorientable
+    return consistent

@@ -89,10 +89,11 @@ class Dissection:
             diags = sorted(set(diags))
         if len(diags) > n - 3:
             raise TooManyDiagonals(f"{len(diags)} diagonals in a {n}-gon (max {n - 3})")
-        for i, d1 in enumerate(diags):
-            for d2 in diags[i + 1:]:
-                if diagonals_cross(d1, d2, n):
-                    raise CrossingDiagonals(f"{d1} crosses {d2}")
+        # sorted, so a <= c: they cross when c lies inside (a, b), d beyond
+        for i, (a, b) in enumerate(diags):
+            for c, d in diags[i + 1:]:
+                if a < c < b < d:
+                    raise CrossingDiagonals(f"{(a, b)} crosses {(c, d)}")
         object.__setattr__(self, "diagonals", frozenset(diags))
 
     @property

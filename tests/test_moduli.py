@@ -18,6 +18,8 @@ from mosaic.errors import (
 from mosaic.moduli import (
     DOUBLE_COVER,
     PROJECTIVE,
+    _separating_diagonal,
+    _tile_boundaries,
     build_complex,
     cell_class,
     classify_surface,
@@ -32,7 +34,12 @@ from mosaic.moduli import (
     twist,
     verify_divisor_factorization,
 )
-from mosaic.polygon import Dissection, enumerate_diagonal_sets
+from mosaic.polygon import (
+    Dissection,
+    diagonals_cross,
+    enumerate_diagonal_sets,
+    polygon_diagonals,
+)
 
 # cell counts by codim, frozen; the double cover doubles every entry
 F_PROJECTIVE = {
@@ -339,6 +346,33 @@ def test_divisor_coboundaries_follow_the_doubling_law(cache):
         sub.tile_adjacency()
 
 
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_divisor_cells_match_a_separating_diagonal_scan(n, cache):
+    # membership read through the parent tables equals a label test on
+    # every diagonal of every ambient cell
+    complex_ = cache.full(n)
+    for subset in divisor_label_classes(n):
+        sub = divisor_subcomplex(complex_, subset)
+        scanned = []
+        for cell in complex_.cells:
+            arcs = _separating_diagonal(cell, subset)
+            if arcs is not None:
+                (x, y), _ = arcs
+                assert {cell.labels[(x + t) % n] for t in range((y - x) % n)} == subset
+                scanned.append(cell.index)
+        assert [complex_.resolve(cell).index for cell in sub.cells] == scanned, sorted(subset)
+
+
+def test_divisor_needs_grade_one_of_the_ambient_complex():
+    with pytest.raises(RangeError):
+        divisor_subcomplex(build_complex(6, max_codim=0), {1, 2})
+
+
+def test_divisor_factorization_needs_a_full_depth_complex():
+    with pytest.raises(MosaicError, match="fully built"):
+        verify_divisor_factorization(build_complex(6, max_codim=1), {1, 2})
+
+
 def test_divisor_names_a_cell_with_the_wrong_number_of_parents():
     complex_ = build_complex(5)
     sub = divisor_subcomplex(complex_, {1, 2})
@@ -387,11 +421,14 @@ def test_divisor_guards(cache):
 # ---------------------------------------------------------------------------
 # the double cover over the projective complex
 
-@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("n", (4, 5, 6))
 def test_covering_map_is_two_to_one(n, cache):
-    report = covering_map(cache.full(n, DOUBLE_COVER), cache.full(n))
+    cover, projective = cache.full(n, DOUBLE_COVER), cache.full(n)
+    report = covering_map(cover, projective)
     assert report.passed, report.failures[:3]
     assert len(report.mapping) == 2 * sum(F_PROJECTIVE[n])
+    assert report.mapping == tuple(projective.cell_for(cell.representative).index
+                                   for cell in cover.cells)
 
 
 def test_covering_map_names_a_lift_whose_parents_do_not_match(cache):
@@ -446,6 +483,48 @@ def test_hexagon_divisors_are_surfaces(cache):
     pentagonal = classify_surface(divisor_subcomplex(complex_, {1, 2}))
     assert pentagonal.identified_surface == \
         "N_5 (connected sum of 5 projective planes)"
+
+
+def _surfaces(cache):
+    yield cache.full(5)
+    yield cache.full(5, DOUBLE_COVER)
+    for subset in divisor_label_classes(6):
+        yield divisor_subcomplex(cache.full(6), subset)
+
+
+def test_tile_boundary_walks_match_the_compatible_diagonals(cache):
+    # a tile's boundary edges are its representative plus one compatible
+    # diagonal, their endpoints the same plus two, and the walk closes up
+    for complex_ in _surfaces(cache):
+        n = complex_.n
+        tiles = complex_.tiles()
+        walks = _tile_boundaries(complex_)
+        assert len(walks) == len(tiles)
+        for tile, walk in zip(tiles, walks):
+            base = frozenset(tile.diagonals)
+            extra = [d for d in polygon_diagonals(n) if d not in base
+                     and not any(diagonals_cross(d, e, n) for e in base)]
+            want = {}
+            for d in extra:
+                corners = {complex_.cell_for(Dissection(tile.labels, base | {d, e})).index
+                           for e in extra if e != d and not diagonals_cross(d, e, n)}
+                want[complex_.cell_for(Dissection(tile.labels, base | {d})).index] = corners
+            assert {edge: {u, v} for edge, u, v in walk} == want, tile
+            assert len(walk) == len(extra)
+            for (_, _, v), (_, u, _) in zip(walk, walk[1:] + walk[:1]):
+                assert u == v, walk
+
+
+def test_classify_surface_names_an_edge_with_one_endpoint():
+    complex_ = build_complex(5)
+    level = complex_.levels[2]
+    row = level.parents[0]
+    lost = int(row[0])
+    row[0] = next(e for e in range(*complex_.grade_range[1]) if e not in row)
+    row.sort()
+    with pytest.raises(NotASurface,
+                       match=rf"^edge cell {lost} has 1 endpoint vertices, not 2$"):
+        classify_surface(complex_)
 
 
 def test_classify_surface_needs_dimension_two(cache):

@@ -1,6 +1,8 @@
 """Dissections, crossing tests, enumeration, canonical forms."""
 
+import itertools
 import math
+import re
 from math import comb
 
 import pytest
@@ -123,6 +125,18 @@ def test_dissection_rejects_too_many_diagonals():
 def test_dissection_rejects_crossing_diagonals():
     with pytest.raises(CrossingDiagonals):
         Dissection((1, 2, 3, 4, 5), frozenset({(0, 2), (1, 3)}))
+    # every pair, given unsorted, is rejected exactly when diagonals_cross
+    # says so, naming the sorted pairs in order
+    for n in (6, 7):
+        labels = tuple(range(1, n + 1))
+        for d1, d2 in itertools.combinations(polygon_diagonals(n), 2):
+            given = frozenset({d1[::-1], d2[::-1]})
+            if diagonals_cross(d1, d2, n):
+                message = re.escape(f"{d1} crosses {d2}")
+                with pytest.raises(CrossingDiagonals, match=f"^{message}$"):
+                    Dissection(labels, given)
+            else:
+                assert Dissection(labels, given).diagonals == {d1, d2}
 
 
 def test_split_labels():
