@@ -16,7 +16,6 @@ from .polygon import (
     dual_tree,
     enumerate_diagonal_sets,
     polygon_diagonals,
-    si_condition,
     superimpose,
 )
 
@@ -157,9 +156,8 @@ def facet_si_graph(n):
     for a in range(len(diags)):
         base = reference_polygon(n, (diags[a],))
         for b in range(a + 1, len(diags)):
-            other = reference_polygon(n, (diags[b],))
-            if si_condition(base, other):
-                meet = superimpose(base, other)
+            meet = superimpose(base, reference_polygon(n, (diags[b],)))
+            if meet is not None:
                 edges.append((diags[a], diags[b],
                               tuple(sorted(meet.diagonals))))
     return FacetGraph(n=n, vertices=tuple(diags), edges=tuple(edges))

@@ -84,14 +84,13 @@ def cmd_counts(args):
     n = args.n
     if not 3 <= n <= 10:
         raise RangeError(f"counts supports 3 <= n <= 10, got {n}")
+    if args.k is not None and not 0 <= args.k <= n - 3:
+        raise RangeError(f"need 0 <= k <= {n - 3}, got {args.k}")
+    ks = range(n - 2) if args.k is None else (args.k,)
     built = {}
     if n <= 8:
         built[PROJECTIVE] = moduli.build_complex(n, PROJECTIVE)
         built[DOUBLE_COVER] = moduli.build_complex(n, DOUBLE_COVER)
-
-    ks = range(n - 2) if args.k is None else (args.k,)
-    if args.k is not None and not 0 <= args.k <= n - 3:
-        raise RangeError(f"need 0 <= k <= {n - 3}, got {args.k}")
     proj_formula = moduli.closed_form_f_vector(n, PROJECTIVE)
     cover_formula = moduli.closed_form_f_vector(n, DOUBLE_COVER)
     mismatches = []
@@ -199,8 +198,9 @@ def cmd_complex(args):
 
 
 def cmd_divisor(args):
+    subset = moduli.normalize_divisor_subset(args.n, args.subset)
     complex_ = moduli.build_complex(args.n, PROJECTIVE)
-    report = moduli.verify_divisor_factorization(complex_, args.subset)
+    report = moduli.verify_divisor_factorization(complex_, subset)
     m1, m2 = report.factor_sizes
     print(f"divisor {sorted(report.subset)} of the {report.n}-gon complex")
     print(f"factors: {m1}-gon x {m2}-gon")

@@ -688,14 +688,29 @@ def _separating_diagonal(cell, subset):
     return arcs
 
 
+def normalize_divisor_subset(n, subset):
+    """The label set of a divisor of the n-gon complex, normalized to omit n.
+
+    A diagonal separates S exactly when it separates the complement, so
+    a set holding n is replaced by its complement.  Needs labels within
+    1..n and 2 <= |S| <= n-2.
+    """
+    S = frozenset(subset)
+    if not S <= set(range(1, n + 1)):
+        raise UnknownLabel(f"subset {sorted(S)!r} is not within 1..{n}")
+    if not 2 <= len(S) <= n - 2:
+        raise BadSubsetSize(f"need 2 <= |S| <= {n - 2}, got {sorted(S)}")
+    return frozenset(range(1, n + 1)) - S if n in S else S
+
+
 def divisor_subcomplex(complex_, subset):
     """Cells having a diagonal that splits off exactly the given labels.
 
-    The subset is normalized to omit n (a diagonal separates S exactly
-    when it separates the complement).  The result is a ModuliComplex
-    with codim_offset 1 whose top cells are the codim-1 cells of the
-    ambient complex carrying the split; a lower cell belongs to it when
-    a parent in its parent-table row does.  It needs grade 1 built.
+    The subset is normalized by normalize_divisor_subset.  The result is
+    a ModuliComplex with codim_offset 1 whose top cells are the codim-1
+    cells of the ambient complex carrying the split; a lower cell belongs
+    to it when a parent in its parent-table row does.  It needs grade 1
+    built.
     """
     if complex_.mode != PROJECTIVE:
         raise MosaicError("divisor subcomplexes live in the projective complex")
@@ -704,14 +719,7 @@ def divisor_subcomplex(complex_, subset):
     if 1 not in complex_.grade_range:
         raise RangeError("a divisor needs grade 1 of the ambient complex, "
                          "which this complex is not built to")
-    n = complex_.n
-    S = frozenset(subset)
-    if not S <= set(range(1, n + 1)):
-        raise UnknownLabel(f"subset {sorted(S)!r} is not within 1..{n}")
-    if not 2 <= len(S) <= n - 2:
-        raise BadSubsetSize(f"need 2 <= |S| <= {n - 2}, got {sorted(S)}")
-    if n in S:
-        S = frozenset(range(1, n + 1)) - S
+    S = normalize_divisor_subset(complex_.n, subset)
 
     # twists keep every diagonal's label split and deleting a diagonal
     # keeps the others, so above grade 1 a cell is in the divisor exactly
@@ -746,7 +754,7 @@ def divisor_subcomplex(complex_, subset):
                     f"grade {k}: divisor cell {lo + bad[0]} lies on {width[bad[0]]} "
                     f"divisor cells of grade {k - 1}, not {2 * (k - 1)}")
             levels[k] = _Level(lo, rows[keep].reshape(hi - lo, 2 * (k - 1)))
-    return ModuliComplex(n=n, mode=PROJECTIVE, cells=cells,
+    return ModuliComplex(n=complex_.n, mode=PROJECTIVE, cells=cells,
                          grade_range=grade_range, levels=levels,
                          codim_offset=1, divisor_set=S)
 

@@ -318,28 +318,23 @@ def dual_tree(diss):
     regions = _split_regions(list(range(n)), diagonals)
     regions.sort(key=lambda cycle: tuple(sorted(cycle)))
     regions = tuple(regions)
-    region_edge_sets = []
-    for cycle in regions:
-        m = len(cycle)
-        pairs = set()
-        for t in range(m):
-            a, b = cycle[t], cycle[(t + 1) % m]
-            pairs.add((a, b) if a < b else (b, a))
-        region_edge_sets.append(pairs)
+    owners = {}
+    for idx, cycle in enumerate(regions):
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            owners.setdefault((a, b) if a < b else (b, a), []).append(idx)
     edges = []
     for d in diagonals:
-        touching = [idx for idx, pairs in enumerate(region_edge_sets) if d in pairs]
+        touching = owners.get(d, [])
         if len(touching) != 2:
             raise InvariantViolation(f"diagonal {d} borders {len(touching)} regions")
         edges.append((touching[0], touching[1], d))
     leaves = []
     for pos in range(n):
         side = (pos, (pos + 1) % n)
-        key = side if side[0] < side[1] else (side[1], side[0])
-        owners = [idx for idx, pairs in enumerate(region_edge_sets) if key in pairs]
-        if len(owners) != 1:
-            raise InvariantViolation(f"side {side} borders {len(owners)} regions")
-        leaves.append((owners[0], diss.labels[pos]))
+        side_owners = owners.get(side if side[0] < side[1] else side[::-1], [])
+        if len(side_owners) != 1:
+            raise InvariantViolation(f"side {side} borders {len(side_owners)} regions")
+        leaves.append((side_owners[0], diss.labels[pos]))
     if len(regions) != len(diagonals) + 1 or min(map(len, regions)) < 3:
         raise InvariantViolation(
             f"{len(diagonals)} diagonals cut {[len(c) for c in regions]}-sided regions")

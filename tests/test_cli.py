@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from mosaic import cli, moduli
+from mosaic import cli, moduli, quasibraid
 from mosaic.errors import InvariantViolation
 from mosaic.moduli import PROJECTIVE, build_complex
 from mosaic.polygon import Dissection
@@ -140,6 +140,23 @@ def test_divisor_pass():
     assert "PASS: subcomplex is isomorphic to the product" in out
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("counts", "--n", "8", "--k", "99"), "error: need 0 <= k <= 5, got 99\n"),
+    (("divisor", "--n", "8", "--set", "1,99"),
+     "error: subset [1, 99] is not within 1..8\n"),
+    (("divisor", "--n", "8", "--set", "1"), "error: need 2 <= |S| <= 6, got [1]\n"),
+])
+def test_bad_input_is_rejected_before_any_build(monkeypatch, argv, message):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a complex for input that is out of range")
+
+    monkeypatch.setattr(moduli, "build_complex", no_build)
+    code, out, err = run_cli(*argv)
+    assert code == 64
+    assert out == ""
+    assert err == message
+
+
 def test_divisor_usage_errors():
     code, _, err = run_cli("divisor", "--n", "6", "--set", "1")
     assert code == 64
@@ -175,6 +192,22 @@ def test_quasibraid_phi():
     code, out, _ = run_cli("quasibraid", "phi", "--n", "5")
     assert code == 0
     assert "pass" in out
+
+
+def test_quasibraid_phi_fails_without_a_transposition(monkeypatch):
+    real_phi = quasibraid.phi
+
+    def broken(g):
+        if g.diagonal == (0, 2):
+            return quasibraid.Permutation.identity(g.n - 1)
+        return real_phi(g)
+
+    monkeypatch.setattr(quasibraid, "phi", broken)
+    code, out, _ = run_cli("quasibraid", "phi", "--n", "5")
+    assert code == cli.MISMATCH == 2
+    assert "image order 0/24" in out
+    assert ("FAIL: images miss the adjacent transposition (1 2), "
+            "so they are not certified to generate S_4") in out.splitlines()
 
 
 def test_quasibraid_export_is_deterministic():

@@ -1,10 +1,12 @@
 """Generators, relations, the permutation image, juxtaposition."""
 
 from collections import Counter
-from math import factorial
+from itertools import combinations
+from math import comb, factorial
 
 import pytest
 
+from mosaic import quasibraid
 from mosaic.errors import NonBijective, NotSI, RangeError
 from mosaic.polygon import cayley_count
 from mosaic.quasibraid import (
@@ -181,6 +183,44 @@ def test_relation_counts(n, census):
     assert len(rels) == cayley_count(n, 1) + cayley_count(n, 2)
 
 
+def _cactus_relations(n):
+    # Henriques-Kamnitzer's cactus relations without the longest interval
+    # [1, n-1]; the diagonal (i, j) is the interval [i+1, j]
+    def diagonal(p, q):
+        return (p - 1, q)
+
+    intervals = sorted((i + 1, j) for i, j in
+                       (g.diagonal for g in generators(n)))
+    rels = {("involution", (diagonal(*a), diagonal(*a)), ()) for a in intervals}
+    for a, b in combinations(sorted(intervals, key=lambda iv: diagonal(*iv)), 2):
+        da, db = diagonal(*a), diagonal(*b)
+        if a[1] < b[0] or b[1] < a[0]:
+            rels.add(("commuting", (da, db), (db, da)))
+            continue
+        if b[0] <= a[0] and a[1] <= b[1]:
+            (k, l), (p, q) = a, b
+        elif a[0] <= b[0] and b[1] <= a[1]:
+            (k, l), (p, q) = b, a
+        else:
+            continue                     # overlapping intervals: crossing diagonals
+        if p + q == k + l:
+            rels.add(("commuting", (da, db), (db, da)))
+        else:
+            outer = diagonal(p, q)
+            rels.add(("conjugation", (outer, diagonal(k, l)),
+                      (diagonal(p + q - l, p + q - k), outer)))
+    return rels
+
+
+@pytest.mark.parametrize("n", range(4, 13))
+def test_relations_are_the_cactus_relations(n):
+    rels = relations(n)
+    as_tuples = {(r.kind, tuple(g.diagonal for g in r.left),
+                  tuple(g.diagonal for g in r.right)) for r in rels}
+    assert len(as_tuples) == len(rels) == 2 * comb(n, 4)
+    assert as_tuples == _cactus_relations(n)
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_every_relation_collapses_under_phi(n):
     for rel in relations(n):
@@ -193,6 +233,49 @@ def test_phi_image_is_the_full_symmetric_group(n):
     assert report.passed, report.failures[:3]
     assert report.image_order == report.expected_order == factorial(n - 1)
     assert report.relations_checked == len(relations(n))
+
+
+def _orbit_order(images, m):
+    # plain orbit closure over image tuples: the enumeration that the
+    # transposition certificate in check_phi replaces, kept as its oracle
+    identity = tuple(range(1, m + 1))
+    gens = [p.images for p in images]
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            for q in gens:
+                r = tuple(q[y - 1] for y in p)
+                if r not in seen:
+                    seen.add(r)
+                    nxt.append(r)
+        frontier = nxt
+    return len(seen)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_orbit_closure_agrees_with_the_certificate(n):
+    report = check_phi(n)
+    assert report.passed, report.failures[:3]
+    assert _orbit_order([phi(g) for g in generators(n)], n - 1) == report.image_order
+
+
+def test_the_certificate_names_a_missing_transposition(monkeypatch):
+    real_phi = quasibraid.phi
+
+    def broken(g):
+        if g.diagonal == (0, 2):
+            return Permutation.identity(g.n - 1)
+        return real_phi(g)
+
+    monkeypatch.setattr(quasibraid, "phi", broken)
+    report = check_phi(5)
+    assert not report.passed
+    assert report.image_order == 0
+    assert report.failures[-1] == ("images miss the adjacent transposition (1 2), "
+                                   "so they are not certified to generate S_4")
+    assert str(report).endswith(f"image order 0/24: {len(report.failures)} FAILURES")
 
 
 def test_check_phi_range_guard():
