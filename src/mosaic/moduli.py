@@ -41,14 +41,16 @@ exactly 2k (cell, added diagonal) pairs from 2k distinct parents.
 
 The queries read the cells and parent tables and build no Dissection:
 divisors, the covering map and the boundary walks of surface
-recognition.
+recognition.  The covering map and the divisor factorization check
+look up all their dissections at once, with `_least` (`_cell_indices`);
+`cell_for` looks up one through `cell_class`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 from math import factorial
 from typing import NamedTuple
 
@@ -260,19 +262,13 @@ def cell_class(diss, mode):
     """
     _check_mode(mode)
     n = diss.n
-    if set(diss.labels) != set(range(1, n + 1)):
-        raise UnknownLabel(f"cell classes need labels 1..{n}, got {diss.labels!r}")
-    return _least_cell(diss.labels, diss.diagonals, mode)
-
-
-def _least_cell(labels, diagonals, mode):
-    # cell_class for labels 1..n and diagonals already known valid,
-    # such as a cell's own or those of a piece of one
-    n = len(labels)
+    labels = diss.labels
+    if set(labels) != set(range(1, n + 1)):
+        raise UnknownLabel(f"cell classes need labels 1..{n}, got {labels!r}")
     r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
     labels = labels[r:] + labels[:r]
     blocks = []
-    for u, v in diagonals:
+    for u, v in diss.diagonals:
         u, v = (u - r) % n, (v - r) % n
         blocks.append(_block((u, v) if u < v else (v, u), n, mode))
     for node in _tree(blocks, n, mode):
@@ -335,8 +331,25 @@ class _Grade:
         self._by_mask = np.argsort(self.masks)
 
     def set_index(self, masks):
-        """The indices of the diagonal sets with these bit masks."""
-        return self._by_mask[np.searchsorted(self.masks, masks, sorter=self._by_mask)]
+        """The indices of the diagonal sets with these bit masks (any, for others)."""
+        at = np.searchsorted(self.masks, masks, sorter=self._by_mask)
+        return self._by_mask[at.clip(max=len(self.masks) - 1)]
+
+
+class _Blocks(dict):
+    """The number in polygon_diagonals of each block's diagonal."""
+
+    def __init__(self, n, mode):
+        super().__init__((_block(d, n, mode), t) for t, d in enumerate(polygon_diagonals(n)))
+        self.n, self._turns = n, {}
+
+    def turn(self, node):
+        """A node's turn as a position order and a diagonal move table."""
+        key = node.block, tuple(node.children)     # nodes recur across sets
+        if key not in self._turns:
+            self._turns[key] = (node.turned(range(self.n)),
+                                np.array([self[node.moved(blk)] for blk in self]))
+        return self._turns[key]
 
 
 def _least(rows, ids, tree, block_id):
@@ -345,14 +358,19 @@ def _least(rows, ids, tree, block_id):
     The node loop of cell_class on arrays: rows holds the labelings, ids
     the numbers of their diagonals, which move when a node turns.
     """
-    positions = range(rows.shape[1])
     for node in tree:
         flip = rows[:, node.block[0]] > rows[:, node.last]
         if flip.any():
-            rows[flip] = rows[flip][:, node.turned(positions)]
-            move = np.array([block_id[node.moved(blk)] for blk in block_id])
+            order, move = block_id.turn(node)
+            rows[flip] = rows[flip][:, order]
             ids[flip] = move[ids[flip]]
     return rows, ids
+
+
+def _label_weights(n):
+    # a cell's code: the base-(n+1) value of its labels times the number
+    # of diagonal sets, plus the index of its set; it sorts as cells do
+    return (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
 class ModuliComplex:
@@ -489,15 +507,16 @@ class TileAdjacency:
 def _grow(grade, prev, rows, sets, weights, block_id):
     """Add each diagonal of the grade's sets to the cells of grade prev.
 
-    rows and sets give those cells' labels and set indices in cell order
-    (for grade 0: every labeling, the empty set and no prev).  Returns
-    each result's code as a least member and the row it grew from.
+    rows and sets give those cells' labels and set indices in cell order.
+    With no prev the rows' sets are the grade's own and none is added
+    (grade 0: every labeling with the empty set).  Returns each result's
+    code as a least member and the row it grew from.
     """
     # each set grows from the sets with one diagonal fewer
-    below = [[0]] if prev is None else prev.set_index(
+    below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
         grade.masks[:, None] - (np.int64(1) << grade.ids))
     by_set = np.argsort(sets, kind="stable")
-    bounds = np.searchsorted(sets, np.arange(sets.max() + 2), sorter=by_set)
+    bounds = np.searchsorted(sets, np.arange(below.max() + 2), sorter=by_set)
     codes, parents = [], []
     for t, tree in enumerate(grade.trees):
         members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]])
@@ -562,11 +581,9 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
     expected = closed_form_f_vector(n, mode)
     labelings = _labelings(n, mode)
     table = np.array(labelings, dtype=np.int8)
-    # a cell's code: the base-(n+1) value of its labels times the number
-    # of diagonal sets, plus the index of its set; it sorts as cells do
-    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights = _label_weights(n)
     label_codes = table @ weights
-    block_id = {_block(d, n, mode): t for t, d in enumerate(polygon_diagonals(n))}
+    block_id = _Blocks(n, mode)
 
     cells, grade_range, levels = [], {}, {}
     rows, sets, prev = table, np.zeros(len(table), dtype=np.int64), None
@@ -590,6 +607,63 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     return ModuliComplex(n=n, mode=mode, cells=cells,
                          grade_range=grade_range, levels=levels)
+
+
+def _turned_rows(n, labels, diagonals):
+    # dissections of the n-gon as arrays: their labels turned so label 1
+    # comes first, their diagonal counts, and the bit masks of their
+    # diagonals, turned along and numbered by polygon_diagonals
+    rows = np.fromiter(chain.from_iterable(labels), np.int8, n * len(labels)).reshape(-1, n)
+    counts = np.fromiter(map(len, diagonals), np.int64, len(diagonals))
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(diagonals)), np.int8,
+                       2 * counts.sum()).reshape(-1, 2)
+    r = np.argmax(rows == 1, axis=1).astype(np.int8)
+    # row i turned is window r[i] of row i written out twice
+    windows = np.lib.stride_tricks.sliding_window_view(np.hstack([rows, rows]), n, axis=1)
+    rows = windows[np.arange(len(rows)), r]
+    ends = (ends - np.repeat(r, counts)[:, None]) % n
+    number = np.zeros((n, n), dtype=np.int8)
+    for t, (u, v) in enumerate(polygon_diagonals(n)):
+        number[u, v] = number[v, u] = t
+    masks = np.zeros(len(rows), dtype=np.int64)
+    np.bitwise_or.at(masks, np.repeat(np.arange(len(rows), dtype=np.int32), counts),
+                     np.int64(1) << number[ends[:, 0], ends[:, 1]])
+    return rows, counts, masks
+
+
+def _cell_indices(target, labels, diagonals):
+    """The indices of the cells of a projective complex holding dissections.
+
+    labels and diagonals give each dissection's sides and diagonals, on
+    target.n sides.  The rows sharing a diagonal set go through _least
+    together, and their least members' codes, as build_complex encodes
+    a cell, are found among the codes of the target's cells by one
+    searchsorted per grade.  UnknownCell names the first row that lies
+    in no cell of the target.
+    """
+    n = target.n
+    weights, block_id = _label_weights(n), _Blocks(n, PROJECTIVE)
+    rows, counts, masks = _turned_rows(n, labels, diagonals)
+    own_rows, _, own_masks = _turned_rows(n, [c.labels for c in target.cells],
+                                          [c.diagonals for c in target.cells])
+    found = np.full(len(rows), -1, dtype=np.int64)
+    for k, (start, end) in target.grade_range.items():
+        grade = _Grade(n, PROJECTIVE, k, block_id)
+        mine = np.flatnonzero(counts == k)
+        codes, order = _grow(grade, None, rows[mine], grade.set_index(masks[mine]),
+                             weights, block_id)
+        mine = mine[order]
+        own = (own_rows[start:end] @ weights) * len(grade.sets) \
+            + grade.set_index(own_masks[start:end])
+        at = np.searchsorted(own, codes).clip(max=end - start - 1)
+        hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
+        found[mine[hit]] = start + at[hit]
+    bad = np.flatnonzero(found < 0)
+    if len(bad):
+        i = bad[0]
+        raise UnknownCell(f"row {i}: {labels[i]!r} with diagonals {diagonals[i]!r} "
+                          f"lies in no cell of this complex")
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -804,8 +878,9 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     Splitting every cell along its separating diagonal and relabeling
     each half must give a bijection onto pairs of cells of the
     (|S|+1)-gon and (n-|S|+1)-gon complexes, shifting grades by one and
-    matching the incidence relation in both directions.  Each half is
-    looked up from the cell's own labels and diagonals.
+    matching the incidence relation in both directions.  The halves are
+    cut from the cells' own labels and diagonals and looked up in each
+    factor all at once by _cell_indices.
     """
     if not complex_.is_full_depth():
         raise MosaicError("divisor factorization needs a fully built complex")
@@ -828,16 +903,18 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     report = DivisorReport(n=n, subset=S, factor_sizes=(m1, m2),
                            sub_f_vector=sub.f_vector())
 
-    image = {}
+    halves = [], []
     for cell in sub.cells:
-        halves = []
         arcs = _separating_diagonal(cell, S)
-        for factor, arc, label_map in zip(factors, arcs, (map_s, map_c)):
-            labels, diags = _arc_subdissection(cell.labels, cell.diagonals,
-                                               *arc, label_map, factor.n)
-            halves.append(factor.resolve(_least_cell(labels, diags, factor.mode)))
-        cs, cc = halves
-        image[cell.index] = (cs.index, cc.index)
+        for half, factor, arc, label_map in zip(halves, factors, arcs, (map_s, map_c)):
+            half.append(_arc_subdissection(cell.labels, cell.diagonals,
+                                           *arc, label_map, factor.n))
+    found_s, found_c = (_cell_indices(factor, *zip(*half)).tolist()
+                        for factor, half in zip(factors, halves))
+    image = {}
+    for cell, s, c in zip(sub.cells, found_s, found_c):
+        cs, cc = factor_s.cells[s], factor_c.cells[c]
+        image[cell.index] = (s, c)
         report.cells_checked += 1
         if cell.codim != cs.codim + cc.codim + 1:
             report.failures.append(
@@ -913,10 +990,11 @@ def covering_map(cover, projective):
     """Map each double-cover cell to its projective cell and verify.
 
     A cell's image is the projective least member of its own labels and
-    diagonals: the map forgets the orientation of the root node.  Every
-    fiber must have exactly two cells, and the parent-table row of each
-    cell must map one-to-one onto the row of its image; the incidences
-    on both sides have multiplicity 2^(k-1).
+    diagonals, all found at once by _cell_indices: the map forgets the
+    orientation of the root node.  Every fiber must have exactly two
+    cells, and the parent-table row of each cell must map one-to-one
+    onto the row of its image; the incidences on both sides have
+    multiplicity 2^(k-1).
     """
     if cover.mode != DOUBLE_COVER or projective.mode != PROJECTIVE:
         raise MosaicError("need a double-cover complex and a projective complex")
@@ -924,18 +1002,15 @@ def covering_map(cover, projective):
         raise MosaicError(f"sizes differ: {cover.n} vs {projective.n}")
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
-    report = CoveringReport(n=cover.n)
-    mapping = [projective.resolve(_least_cell(cell.labels, cell.diagonals, PROJECTIVE)).index
-               for cell in cover.cells]
-    report.mapping = tuple(mapping)
+    image = _cell_indices(projective, [cell.labels for cell in cover.cells],
+                          [cell.diagonals for cell in cover.cells])
+    report = CoveringReport(n=cover.n, mapping=tuple(image.tolist()))
 
-    fibers = Counter(mapping)
-    for cell in projective.cells:
-        if fibers[cell.index] != 2:
-            report.failures.append(
-                f"fiber over projective cell {cell.index} has {fibers[cell.index]} cells")
+    fibers = np.bincount(image, minlength=len(projective.cells))
+    for index in np.flatnonzero(fibers != 2).tolist():
+        report.failures.append(
+            f"fiber over projective cell {index} has {fibers[index]} cells")
 
-    image = np.array(mapping)
     for k in sorted(cover.levels):
         lift, base = cover.levels[k], projective.levels[k]
         targets = image[lift.start:lift.start + len(lift.parents)]

@@ -229,15 +229,21 @@ def check_operad_axioms(max_sides=7):
     return report
 
 
+def _glued(g, h):
+    # g o_a h for every side a of g and b of h, keyed by (a, b)
+    return {(a, b): compose_single(g, a, h, b) for a in g.labels for b in h.labels}
+
+
 def _sweep_sequential(report, g, h, k):
+    g_h, h_k = _glued(g, h), _glued(h, k)
     for a in g.labels:
         for b in h.labels:
             for c in h.labels:
                 if c == b:
                     continue
                 for e in k.labels:
-                    left = compose_single(compose_single(g, a, h, b), c, k, e)
-                    right = compose_single(g, a, compose_single(h, c, k, e), b)
+                    left = compose_single(g_h[a, b], c, k, e)
+                    right = compose_single(g, a, h_k[c, e], b)
                     report.sequential_checked += 1
                     if _canonical_key(left) != _canonical_key(right):
                         report.failures.append(
@@ -246,14 +252,15 @@ def _sweep_sequential(report, g, h, k):
 
 
 def _sweep_parallel(report, g, h, k):
+    g_h, g_k = _glued(g, h), _glued(g, k)
     for a in g.labels:
         for c in g.labels:
             if c == a:
                 continue
             for b in h.labels:
                 for e in k.labels:
-                    left = compose_single(compose_single(g, a, h, b), c, k, e)
-                    right = compose_single(compose_single(g, c, k, e), a, h, b)
+                    left = compose_single(g_h[a, b], c, k, e)
+                    right = compose_single(g_k[c, e], a, h, b)
                     report.parallel_checked += 1
                     if _canonical_key(left) != _canonical_key(right):
                         report.failures.append(
@@ -274,13 +281,13 @@ def _label_bijections(universe):
 
 
 def _sweep_equivariance(report, g, h):
-    universe = g.labels + h.labels
+    relabeled = [(sigma, relabel(g, sigma), relabel(h, sigma))
+                 for sigma in _label_bijections(g.labels + h.labels)]
     for a in g.labels:
         for b in h.labels:
             composed = compose_single(g, a, h, b)
-            for sigma in _label_bijections(universe):
-                left = compose_single(relabel(g, sigma), sigma[a],
-                                      relabel(h, sigma), sigma[b])
+            for sigma, g_sigma, h_sigma in relabeled:
+                left = compose_single(g_sigma, sigma[a], h_sigma, sigma[b])
                 right = relabel(composed, sigma)
                 report.equivariance_checked += 1
                 if left != right:

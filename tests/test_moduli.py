@@ -1,5 +1,7 @@
 """Twists, cell complexes, divisors, coverings, surfaces."""
 
+import re
+from dataclasses import replace
 from math import comb, factorial
 
 import pytest
@@ -18,6 +20,8 @@ from mosaic.errors import (
 from mosaic.moduli import (
     DOUBLE_COVER,
     PROJECTIVE,
+    _arc_subdissection,
+    _cell_indices,
     _separating_diagonal,
     _tile_boundaries,
     build_complex,
@@ -363,6 +367,26 @@ def test_divisor_cells_match_a_separating_diagonal_scan(n, cache):
         assert [complex_.resolve(cell).index for cell in sub.cells] == scanned, sorted(subset)
 
 
+@pytest.mark.parametrize("n", (5, 6, 7))
+def test_divisor_halves_resolve_in_bulk_as_cell_for_does(n, cache):
+    # both halves of every divisor cell, looked up at once, land on the
+    # cells the scalar route finds one dissection at a time
+    complex_ = cache.full(n)
+    for subset in divisor_label_classes(n):
+        cells = divisor_subcomplex(complex_, subset).cells
+        sides = sorted(subset), sorted(set(range(1, n + 1)) - subset)
+        for half, side in enumerate(sides):
+            factor = cache.full(len(side) + 1)
+            label_map = {x: t + 1 for t, x in enumerate(side)}
+            rows = [_arc_subdissection(cell.labels, cell.diagonals,
+                                       *_separating_diagonal(cell, subset)[half],
+                                       label_map, factor.n)
+                    for cell in cells]
+            scalar = [factor.cell_for(Dissection(labels, frozenset(diags))).index
+                      for labels, diags in rows]
+            assert _cell_indices(factor, *zip(*rows)).tolist() == scalar, (sorted(subset), half)
+
+
 def test_divisor_needs_grade_one_of_the_ambient_complex():
     with pytest.raises(RangeError):
         divisor_subcomplex(build_complex(6, max_codim=0), {1, 2})
@@ -421,7 +445,7 @@ def test_divisor_guards(cache):
 # ---------------------------------------------------------------------------
 # the double cover over the projective complex
 
-@pytest.mark.parametrize("n", (4, 5, 6))
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_covering_map_is_two_to_one(n, cache):
     cover, projective = cache.full(n, DOUBLE_COVER), cache.full(n)
     report = covering_map(cover, projective)
@@ -444,6 +468,22 @@ def test_covering_map_names_a_lift_whose_parents_do_not_match(cache):
     report = covering_map(cover, projective)
     assert len(report.failures) == 1
     assert report.failures[0].startswith(f"grade 2: the parents of cell {level.start} map to ")
+
+
+@pytest.mark.parametrize("edit", (
+    # label 2 becomes a second 3: the image is no labeling 1..5
+    lambda cell: replace(cell, labels=tuple(3 if x == 2 else x for x in cell.labels)),
+    # two crossing diagonals: the image has no diagonal set of the grade
+    lambda cell: replace(cell, diagonals=((0, 2), (1, 3))),
+))
+def test_covering_map_names_a_cover_cell_over_no_projective_cell(edit, cache):
+    projective = cache.full(5)
+    cover = build_complex(5, DOUBLE_COVER)
+    cell = edit(cover.cells_at(2)[0])
+    cover.cells = cover.cells[:cell.index] + (cell,) + cover.cells[cell.index + 1:]
+    with pytest.raises(UnknownCell, match=rf"^row {cell.index}: {re.escape(repr(cell.labels))} "
+                       rf"with diagonals {re.escape(repr(cell.diagonals))} lies in no cell"):
+        covering_map(cover, projective)
 
 
 def test_covering_map_guards(cache):
