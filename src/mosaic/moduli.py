@@ -22,35 +22,35 @@ which every node that may turn lists its first unit (child block or
 single side) starting with a smaller label than its last.
 `cell_class` applies that rule node by node.
 
-`build_complex` enumerates every cell of the chosen regime for one n,
-graded by diagonal count (codimension), with the incidence between
-adjacent grades and its multiplicity.  A cell of codimension k lies on
-a cell of codimension k-1 when its dissection has one more diagonal,
-so each grade grows from the one above: add every compatible diagonal
-to every cell, then apply the rule to all results at once with numpy
-(`_least`).  The distinct results are the new grade's cells.  A cell
-of codimension k lies on exactly 2(k - codim_offset) distinct cells of
-codimension k-1 (codim_offset is 1 in a divisor subcomplex), each with
-multiplicity 2^(k-1), as twists carry a cell's members and their added
-diagonals along together; so a grade's incidence is one table with a
-sorted row of parents per cell.  The n = 8 projective complex (260190
-cells) builds in under two seconds.  The build raises
-InvariantViolation unless every grade holds 1/2^k as many cells as
-normalized dissections and every cell of a grade k >= 1 is reached by
-exactly 2k (cell, added diagonal) pairs from 2k distinct parents.
+`build_complex` enumerates every cell of one regime for one n, graded by
+diagonal count (codimension).  Each grade grows from the one above: add
+every compatible diagonal to every cell, then apply the rule to all
+results at once with numpy (`_least`).  A cell of codimension k lies on
+exactly 2(k - codim_offset) distinct cells of codimension k-1
+(codim_offset is 1 in a divisor subcomplex), each incidence of
+multiplicity 2^(k-1), so a grade's incidence is one table with a sorted
+row of parents per cell.
 
-The queries read the cells and parent tables and build no Dissection:
-divisors, the covering map and the boundary walks of surface
-recognition.  The covering map and the divisor factorization check
-look up all their dissections at once, with `_least` (`_cell_indices`);
-`cell_for` looks up one through `cell_class`.
+A cell is stored only as its code: its least member's labels read in
+base n+1, times the number of diagonal sets of its grade, plus the index
+of its set.  Each grade is one sorted int64 array of codes, and cells
+are numbered in code order, grade by grade.  `ModuliComplex.cells`
+decodes a Cell when one is read; `resolve` and `cell_for` encode one and
+find it by one search in its grade's codes.  The queries read the codes
+and the parent tables as arrays and make no Cell: divisors, surface
+recognition, and the covering map and the divisor factorization check,
+which cut their dissections from the codes and look them all up at once
+with `_least` (`_row_indices`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field, replace
-from itertools import chain, combinations, permutations
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import combinations, permutations
 from math import factorial
 from typing import NamedTuple
 
@@ -209,11 +209,14 @@ class _Node(NamedTuple):
         return block
 
 
+@lru_cache(maxsize=4096)
 def _tree(blocks, n, mode):
     # the nodes in post-order, children before parents: the non-root
     # nodes come first, one per block, and the projective root last.
     # Blocks are taken by start, outer before inner; a node is complete
-    # once a block starts at or past its end.
+    # once a block starts at or past its end.  Cached, as a query meets
+    # the same few diagonal sets again and again: callers pass a tuple
+    # and do not change the nodes.
     nodes = []
     stack = [((1, n) if mode == PROJECTIVE else (0, n - 1), [])]
     for block in sorted(blocks, key=lambda blk: (blk[0], -blk[1])):
@@ -261,6 +264,12 @@ def cell_class(diss, mode):
     found by orienting each node of the rooted dual tree in turn.
     """
     _check_mode(mode)
+    labels, diags = _least_member(diss, mode)
+    return Cell(mode=mode, labels=labels, diagonals=diags, size=1 << len(diags))
+
+
+def _least_member(diss, mode):
+    # the labels and diagonals of cell_class's least member, as tuples
     n = diss.n
     labels = diss.labels
     if set(labels) != set(range(1, n + 1)):
@@ -271,12 +280,11 @@ def cell_class(diss, mode):
     for u, v in diss.diagonals:
         u, v = (u - r) % n, (v - r) % n
         blocks.append(_block((u, v) if u < v else (v, u), n, mode))
-    for node in _tree(blocks, n, mode):
+    for node in _tree(tuple(sorted(blocks)), n, mode):
         if labels[node.block[0]] > labels[node.last]:
             labels = node.turned(labels)
             blocks = [node.moved(blk) for blk in blocks]
-    diags = tuple(sorted([_diagonal(blk, n) for blk in blocks]))
-    return Cell(mode=mode, labels=tuple(labels), diagonals=diags, size=1 << len(diags))
+    return tuple(labels), tuple(sorted([_diagonal(blk, n) for blk in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +329,7 @@ class _Grade:
 
     def __init__(self, n, mode, k, block_id):
         self.sets = enumerate_diagonal_sets(n, k)
-        self.trees = [_tree([_block(d, n, mode) for d in ds], n, mode)
+        self.trees = [_tree(tuple(_block(d, n, mode) for d in ds), n, mode)
                       for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
         self.ids = np.array([[block_id[node.block] for node in tree[:k]]
@@ -373,27 +381,103 @@ def _label_weights(n):
     return (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
 
 
+def _unpack(codes, n, set_count):
+    """The int8 label rows and the set indices of the cells with these codes."""
+    labels, sets = np.divmod(codes, set_count)
+    return (labels[:, None] // _label_weights(n) % (n + 1)).astype(np.int8), sets
+
+
+class _Cells(Sequence):
+    """The cells of a complex by index, each decoded from its code when read."""
+
+    def __init__(self, complex_, indices):
+        self._complex, self._range = complex_, indices
+
+    def __len__(self):
+        return len(self._range)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _Cells(self._complex, self._range[i])
+        return self._complex._cell(self._range[i])
+
+    def __iter__(self):
+        return map(self._complex._cell, self._range)
+
+
 class ModuliComplex:
     """All cells of one regime for one n, graded by codimension.
 
-    Cells are numbered densely in (codim, representative) order.  The
-    incidence between grades k-1 and k is held in levels[k].  A divisor
-    subcomplex reuses the class with codim_offset 1: its top cells sit
-    at codimension 1 of the ambient complex.
+    codes maps each grade to the sorted codes of its cells, the only form
+    in which a cell is stored; cells are numbered densely in code order,
+    grade by grade, and cells decodes one when it is read.  The incidence
+    between grades k-1 and k is held in levels[k].  A divisor subcomplex
+    keeps the ambient codes of its cells, with codim_offset 1: its top
+    cells sit at codimension 1 of the ambient complex.
     """
 
-    def __init__(self, n, mode, cells, grade_range, levels,
-                 codim_offset=0, divisor_set=None):
+    def __init__(self, n, mode, codes, levels, codim_offset=0, divisor_set=None):
         self.n = n
         self.mode = mode
-        self.cells = tuple(cells)
-        self.grade_range = dict(grade_range)
         self.levels = dict(levels)
         self.codim_offset = codim_offset
         self.divisor_set = divisor_set
-        self._lookup = {c: c.index for c in self.cells}
+        self._codes = dict(sorted(codes.items()))
+        # each grade's index range, and what reading or finding one of its
+        # cells needs: the codes viewed as Python ints, the diagonal sets
+        # and each set's index
+        self.grade_range, self._grades, start = {}, {}, 0
+        for k, grade in self._codes.items():
+            sets = enumerate_diagonal_sets(n, k)
+            self.grade_range[k] = (start, start + len(grade))
+            self._grades[k] = (memoryview(grade), start, sets,
+                               {ds: s for s, ds in enumerate(sets)})
+            start += len(grade)
+
+    def _cell(self, index):
+        # decode one cell with Python ints
+        for k, (codes, start, sets, _) in self._grades.items():
+            if index < start + len(codes):
+                break
+        code, s = divmod(codes[index - start], len(sets))
+        labels, base = [], self.n + 1
+        for _ in range(self.n):
+            code, x = divmod(code, base)
+            labels.append(x)
+        return Cell(self.mode, tuple(labels[::-1]), sets[s], 1 << k, index)
+
+    def _index(self, labels, diagonals):
+        # the index of the cell with this least member, or None: its code,
+        # found by one search in its grade; labels are within 1..n
+        grade, code, base = self._grades.get(len(diagonals)), 0, self.n + 1
+        s = grade and grade[3].get(diagonals)
+        if s is None:
+            return None
+        codes, start, sets, _ = grade
+        for x in labels:
+            code = code * base + x
+        code = code * len(sets) + s
+        at = bisect_left(codes, code)
+        if at < len(codes) and codes[at] == code:
+            return start + at
+        return None
+
+    def _find(self, cell):
+        # the index of a Cell; labels outside 1..n would carry in its code
+        labels, index = cell.labels, None
+        if cell.mode == self.mode and len(labels) == self.n \
+                and set(labels) <= set(range(1, self.n + 1)):
+            index = self._index(labels, cell.diagonals)
+        if index is None:
+            raise UnknownCell(f"{cell!r} is not a cell of this complex")
+        return index
 
     # -- shape ------------------------------------------------------------
+
+    @property
+    def cells(self):
+        """Every cell by index, decoded from its code when read."""
+        return _Cells(self, range(sum(map(len, self._codes.values()))))
 
     @property
     def max_codim(self):
@@ -418,15 +502,10 @@ class ModuliComplex:
 
     def f_vector(self):
         """Cell counts by codimension, starting at codim_offset."""
-        return tuple(len(self.cells_at(k))
-                     for k in sorted(self.grade_range))
+        return tuple(map(len, self._codes.values()))
 
     def euler_characteristic(self):
-        total = 0
-        for k in self.grade_range:
-            dim = (self.n - 3) - k
-            total += (-1) ** dim * len(self.cells_at(k))
-        return total
+        return sum((-1) ** (self.n - 3 - k) * len(c) for k, c in self._codes.items())
 
     # -- queries ----------------------------------------------------------
 
@@ -434,14 +513,19 @@ class ModuliComplex:
         """The cell of this complex containing the given dissection."""
         if diss.n != self.n:
             raise UnknownCell(f"dissection has {diss.n} sides, complex has {self.n}")
-        cell = cell_class(diss, self.mode)
-        return self.resolve(cell)
+        labels, diagonals = _least_member(diss, self.mode)
+        index = self._index(labels, diagonals)
+        if index is None:
+            cell = Cell(self.mode, labels, diagonals, 1 << len(diagonals))
+            raise UnknownCell(f"{cell!r} is not a cell of this complex")
+        # the grade's own tuple of these diagonals: the copy made here is
+        # freed, so a result adds one tuple, its labels
+        sets, at = self._grades[len(diagonals)][2:]
+        return Cell(self.mode, labels, sets[at[diagonals]], 1 << len(diagonals), index)
 
     def resolve(self, cell):
-        gid = self._lookup.get(cell)
-        if gid is None:
-            raise UnknownCell(f"{cell!r} is not a cell of this complex")
-        return self.cells[gid]
+        """This complex's cell equal to a Cell, found by its code."""
+        return self._cell(self._find(cell))
 
     def coboundary_counts(self, cell):
         """For each t, the number of codim k-t cells whose closure holds `cell`.
@@ -449,13 +533,11 @@ class ModuliComplex:
         Computed by walking the incidence upward one grade at a time and
         counting distinct cells; t = 0 counts the cell itself.
         """
-        cell = self.resolve(cell)
-        k = cell.codim
+        frontier, k = [self._find(cell)], cell.codim
         out = {0: 1}
-        frontier = np.array([cell.index])
         for t in range(1, k - self.codim_offset + 1):
             level = self.levels[k - t + 1]
-            frontier = np.unique(level.parents[frontier - level.start])
+            frontier = set(level.parents[[f - level.start for f in frontier]].ravel().tolist())
             out[t] = len(frontier)
         return out
 
@@ -478,7 +560,7 @@ class ModuliComplex:
         level = self.levels[mid]
         edges = tuple((u, v, facet)
                       for facet, (u, v) in enumerate(level.parents.tolist(), level.start))
-        tiles = tuple(c.index for c in self.tiles())
+        tiles = tuple(range(*self.grade_range[self.codim_offset]))
         return TileAdjacency(tiles=tiles, edges=edges)
 
 
@@ -559,9 +641,10 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     Each grade grows from the one above: grade 0 from every labeling,
     grade k by adding each compatible diagonal to each cell of grade
-    k-1.  The distinct least members of the results are the grade's
-    cells, and the parents of the pairs reaching a cell are its row of
-    the grade's parent table; each incidence has multiplicity 2^(k-1).
+    k-1.  The sorted distinct codes of the results' least members are
+    the grade's cells, which is all the complex stores of them, and the
+    parents of the pairs reaching a cell are its row of the grade's
+    parent table; each incidence has multiplicity 2^(k-1).
     InvariantViolation is raised unless a grade holds as many cells as
     closed_form_f_vector says and each cell below the tiles is reached
     by 2k pairs, two per diagonal, from 2k distinct parents.  max_codim
@@ -579,90 +662,68 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
             raise RangeError(f"max_codim must be >= 0, got {max_codim}")
         top = min(max_codim, top)
     expected = closed_form_f_vector(n, mode)
-    labelings = _labelings(n, mode)
-    table = np.array(labelings, dtype=np.int8)
     weights = _label_weights(n)
-    label_codes = table @ weights
     block_id = _Blocks(n, mode)
 
-    cells, grade_range, levels = [], {}, {}
-    rows, sets, prev = table, np.zeros(len(table), dtype=np.int64), None
+    codes, levels, start = {}, {}, 0
+    rows = np.array(_labelings(n, mode), dtype=np.int8)
+    sets, prev = np.zeros(len(rows), dtype=np.int64), None
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
-        codes, parents = _grow(grade, prev, rows, sets, weights, block_id)
-        codes, child = np.unique(codes, return_inverse=True)
-        if len(codes) != expected[k]:
+        grown, parents = _grow(grade, prev, rows, sets, weights, block_id)
+        codes[k], child = np.unique(grown, return_inverse=True)
+        if len(codes[k]) != expected[k]:
             raise InvariantViolation(
-                f"grade {k}: {len(codes)} cells, the closed form has {expected[k]}")
+                f"grade {k}: {len(codes[k])} cells, the closed form has {expected[k]}")
         if k:
-            levels[k] = _Level(len(cells), _parent_table(
-                k, len(cells), child, parents + grade_range[k - 1][0]))
-        del parents, child          # not held while the next grade grows
-        labels, sets = np.divmod(codes, len(grade.sets))
-        labels = np.searchsorted(label_codes, labels)
-        for index, (r, s) in enumerate(zip(labels.tolist(), sets.tolist()), len(cells)):
-            cells.append(Cell(mode, labelings[r], grade.sets[s], 1 << k, index))
-        grade_range[k] = (len(cells) - len(codes), len(cells))
-        rows, prev = table[labels], grade
+            above, start = start, start + len(codes[k - 1])
+            levels[k] = _Level(start, _parent_table(k, start, child, parents + above))
+        del grown, parents, child          # not held while the next grade grows
+        (rows, sets), prev = _unpack(codes[k], n, len(grade.sets)), grade
 
-    return ModuliComplex(n=n, mode=mode, cells=cells,
-                         grade_range=grade_range, levels=levels)
+    return ModuliComplex(n=n, mode=mode, codes=codes, levels=levels)
 
 
-def _turned_rows(n, labels, diagonals):
-    # dissections of the n-gon as arrays: their labels turned so label 1
-    # comes first, their diagonal counts, and the bit masks of their
-    # diagonals, turned along and numbered by polygon_diagonals
-    rows = np.fromiter(chain.from_iterable(labels), np.int8, n * len(labels)).reshape(-1, n)
-    counts = np.fromiter(map(len, diagonals), np.int64, len(diagonals))
-    ends = np.fromiter(chain.from_iterable(chain.from_iterable(diagonals)), np.int8,
-                       2 * counts.sum()).reshape(-1, 2)
+def _row_indices(target, rows, counts, ends):
+    """The indices of the cells of a projective complex holding dissections.
+
+    rows holds each dissection's labels on target.n sides, counts its
+    number of diagonals and ends its diagonals, row after row.  Each row
+    is turned so label 1 comes first, with its diagonals turned along and
+    numbered by polygon_diagonals into a bit mask.  The rows sharing a
+    diagonal set go through _least together, and their least members'
+    codes are found among the target's by one searchsorted per grade.
+    UnknownCell names the first row that lies in no cell of the target.
+    """
+    n = target.n
+    weights, block_id = _label_weights(n), _Blocks(n, PROJECTIVE)
     r = np.argmax(rows == 1, axis=1).astype(np.int8)
     # row i turned is window r[i] of row i written out twice
     windows = np.lib.stride_tricks.sliding_window_view(np.hstack([rows, rows]), n, axis=1)
-    rows = windows[np.arange(len(rows)), r]
-    ends = (ends - np.repeat(r, counts)[:, None]) % n
+    turned = windows[np.arange(len(rows)), r]
+    turned_ends = (ends - np.repeat(r, counts)[:, None]) % n
     number = np.zeros((n, n), dtype=np.int8)
     for t, (u, v) in enumerate(polygon_diagonals(n)):
         number[u, v] = number[v, u] = t
     masks = np.zeros(len(rows), dtype=np.int64)
     np.bitwise_or.at(masks, np.repeat(np.arange(len(rows), dtype=np.int32), counts),
-                     np.int64(1) << number[ends[:, 0], ends[:, 1]])
-    return rows, counts, masks
-
-
-def _cell_indices(target, labels, diagonals):
-    """The indices of the cells of a projective complex holding dissections.
-
-    labels and diagonals give each dissection's sides and diagonals, on
-    target.n sides.  The rows sharing a diagonal set go through _least
-    together, and their least members' codes, as build_complex encodes
-    a cell, are found among the codes of the target's cells by one
-    searchsorted per grade.  UnknownCell names the first row that lies
-    in no cell of the target.
-    """
-    n = target.n
-    weights, block_id = _label_weights(n), _Blocks(n, PROJECTIVE)
-    rows, counts, masks = _turned_rows(n, labels, diagonals)
-    own_rows, _, own_masks = _turned_rows(n, [c.labels for c in target.cells],
-                                          [c.diagonals for c in target.cells])
+                     np.int64(1) << number[turned_ends[:, 0], turned_ends[:, 1]])
     found = np.full(len(rows), -1, dtype=np.int64)
     for k, (start, end) in target.grade_range.items():
         grade = _Grade(n, PROJECTIVE, k, block_id)
         mine = np.flatnonzero(counts == k)
-        codes, order = _grow(grade, None, rows[mine], grade.set_index(masks[mine]),
+        codes, order = _grow(grade, None, turned[mine], grade.set_index(masks[mine]),
                              weights, block_id)
-        mine = mine[order]
-        own = (own_rows[start:end] @ weights) * len(grade.sets) \
-            + grade.set_index(own_masks[start:end])
+        mine, own = mine[order], target._codes[k]
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
         found[mine[hit]] = start + at[hit]
     bad = np.flatnonzero(found < 0)
     if len(bad):
-        i = bad[0]
-        raise UnknownCell(f"row {i}: {labels[i]!r} with diagonals {diagonals[i]!r} "
-                          f"lies in no cell of this complex")
+        i, first = bad[0], counts[:bad[0]].sum()
+        diagonals = tuple(map(tuple, ends[first:first + counts[i]].tolist()))
+        raise UnknownCell(f"row {i}: {tuple(rows[i].tolist())!r} with diagonals "
+                          f"{diagonals!r} lies in no cell of this complex")
     return found
 
 
@@ -743,23 +804,29 @@ def euler_proof_sum(n):
 # divisor subcomplexes
 
 
-def _separating_diagonal(cell, subset):
-    # the vertex arcs (x, y) of the S side and of the complement side of
-    # the cell's diagonal that splits off the labels in subset, or None
-    labels = cell.labels
-    n = len(labels)
-    complement = set(range(1, n + 1)) - subset
-    hit = arcs = None
-    for d in cell.diagonals:
-        i, j = d
-        part = set(labels[i:j])
-        if part == subset or part == complement:
-            if hit is not None:
-                raise InvariantViolation(
-                    f"cell {cell.index}: diagonals {hit} and {d} both cut off "
-                    f"{sorted(subset)}")
-            hit, arcs = d, ((i, j), (j, i)) if part == subset else ((j, i), (i, j))
-    return arcs
+def _cell_rows(complex_, grades):
+    """The cells of these grades as label rows, diagonal counts and diagonals.
+
+    Read from the codes in index order; the diagonals (i, j) follow each
+    other row after row, as _row_indices takes them.
+    """
+    n, rows, counts, ends = complex_.n, [], [], []
+    for k in grades:
+        sets = complex_._grades[k][2]
+        labels, s = _unpack(complex_._codes[k], n, len(sets))
+        rows.append(labels)
+        counts.append(np.full(len(labels), k))
+        ends.append(np.array(sets, dtype=np.int8).reshape(len(sets), k, 2)[s].reshape(-1, 2))
+    return tuple(map(np.concatenate, (rows, counts, ends)))
+
+
+def _splits(rows, counts, ends):
+    # each diagonal's row, and the bit mask of the labels on positions
+    # i..j-1 of its row: a difference of prefix sums of 1 << label
+    prefix = np.zeros((len(rows), rows.shape[1] + 1), dtype=np.int64)
+    prefix[:, 1:] = np.cumsum(np.int64(1) << rows, axis=1)
+    row = np.repeat(np.arange(len(rows)), counts)
+    return row, prefix[row, ends[:, 1]] - prefix[row, ends[:, 0]]
 
 
 def normalize_divisor_subset(n, subset):
@@ -793,15 +860,19 @@ def divisor_subcomplex(complex_, subset):
     if 1 not in complex_.grade_range:
         raise RangeError("a divisor needs grade 1 of the ambient complex, "
                          "which this complex is not built to")
-    S = normalize_divisor_subset(complex_.n, subset)
+    n = complex_.n
+    S = normalize_divisor_subset(n, subset)
 
+    # a grade-1 cell carries the split when the labels on one side of its
+    # one diagonal are S or its complement
+    _, split = _splits(*_cell_rows(complex_, [1]))
+    mask = sum(1 << x for x in S)
+    start, end = complex_.grade_range[1]
+    inside = np.zeros(len(complex_.cells), dtype=bool)
+    inside[start:end] = (split == mask) | (split == (1 << n + 1) - 2 - mask)
     # twists keep every diagonal's label split and deleting a diagonal
     # keeps the others, so above grade 1 a cell is in the divisor exactly
     # when one of its parents is
-    start, end = complex_.grade_range[1]
-    inside = np.zeros(len(complex_.cells), dtype=bool)
-    inside[start:end] = [_separating_diagonal(cell, S) is not None
-                         for cell in complex_.cells[start:end]]
     for k in range(2, complex_.max_codim + 1):
         level = complex_.levels[k]
         inside[level.start:level.start + len(level.parents)] = \
@@ -810,11 +881,11 @@ def divisor_subcomplex(complex_, subset):
     new_id = np.full(len(complex_.cells), -1, dtype=np.int32)
     new_id[selected] = np.arange(len(selected))
 
-    cells = [replace(complex_.cells[g], index=t) for t, g in enumerate(selected.tolist())]
-    grade_range, levels = {}, {}
+    codes, levels = {}, {}
     for k in range(1, complex_.max_codim + 1):
-        lo, hi = np.searchsorted(selected, complex_.grade_range[k]).tolist()
-        grade_range[k] = (lo, hi)
+        start, end = complex_.grade_range[k]
+        lo, hi = np.searchsorted(selected, (start, end)).tolist()
+        codes[k] = complex_._codes[k][selected[lo:hi] - start]
         if k >= 2:
             level = complex_.levels[k]
             # renumbering keeps each row sorted; the parents outside the
@@ -828,24 +899,43 @@ def divisor_subcomplex(complex_, subset):
                     f"grade {k}: divisor cell {lo + bad[0]} lies on {width[bad[0]]} "
                     f"divisor cells of grade {k - 1}, not {2 * (k - 1)}")
             levels[k] = _Level(lo, rows[keep].reshape(hi - lo, 2 * (k - 1)))
-    return ModuliComplex(n=complex_.n, mode=PROJECTIVE, cells=cells,
-                         grade_range=grade_range, levels=levels,
+    return ModuliComplex(n=n, mode=PROJECTIVE, codes=codes, levels=levels,
                          codim_offset=1, divisor_set=S)
 
 
-def _arc_subdissection(labels, diagonals, x, y, label_map, seam_label):
-    # the sub-polygon on the vertex arc x..y, its sides relabeled through
-    # label_map and the chord (x, y) turned into one closing side
-    n = len(labels)
-    span = (y - x) % n
-    side_labels = tuple(label_map[labels[(x + t) % n]] for t in range(span))
-    inner = []
-    for u, v in diagonals:
-        du, dv = (u - x) % n, (v - x) % n
-        if du <= span and dv <= span and {du, dv} != {0, span}:
-            a, b = (du, dv) if du < dv else (dv, du)
-            inner.append((a, b))
-    return side_labels + (seam_label,), inner
+def _halves(sub):
+    """Both halves of every cell of a divisor, as _row_indices takes them.
+
+    The diagonal of a cell that cuts off S splits its polygon in two: the
+    S half, the sides on the arc of positions holding S relabeled 1..|S|
+    in order and the cut closing it as side |S|+1, and the complement
+    half likewise.  Each half keeps the diagonals inside its arc.
+    InvariantViolation is raised unless every cell has one such diagonal.
+    """
+    n, S = sub.n, sub.divisor_set
+    rows, counts, ends = _cell_rows(sub, sub.grade_range)
+    row, split = _splits(rows, counts, ends)
+    mask = sum(1 << x for x in S)
+    cut = (split == mask) | (split == (1 << n + 1) - 2 - mask)
+    hits = np.bincount(row[cut], minlength=len(rows))
+    bad = np.flatnonzero(hits != 1)
+    if len(bad):
+        raise InvariantViolation(f"divisor cell {bad[0]}: {hits[bad[0]]} of its "
+                                 f"diagonals cut off {sorted(S)}, not 1")
+    i, j = ends[cut].T.astype(np.int64)
+    first = split[cut] == mask              # S sits on positions i..j-1
+    halves = []
+    for side, x in ((sorted(S), np.where(first, i, j)),
+                    (sorted(set(range(1, n + 1)) - S), np.where(first, j, i))):
+        span, label = len(side), np.zeros(n + 1, dtype=np.int8)
+        label[side] = np.arange(1, span + 1)
+        arc = (x[:, None] + np.arange(span)) % n
+        moved = (ends - x[row, None]) % n
+        inner = (moved <= span).all(axis=1) & ~cut
+        halves.append((np.hstack([label[np.take_along_axis(rows, arc, axis=1)],
+                                  np.full((len(rows), 1), span + 1, dtype=np.int8)]),
+                       np.bincount(row[inner], minlength=len(rows)), moved[inner]))
+    return halves
 
 
 @dataclass
@@ -879,8 +969,9 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     each half must give a bijection onto pairs of cells of the
     (|S|+1)-gon and (n-|S|+1)-gon complexes, shifting grades by one and
     matching the incidence relation in both directions.  The halves are
-    cut from the cells' own labels and diagonals and looked up in each
-    factor all at once by _cell_indices.
+    cut from the cells' codes (_halves) and looked up in each factor all
+    at once by _row_indices; the incidences on both sides are compared
+    as sorted arrays of numbered pairs.
     """
     if not complex_.is_full_depth():
         raise MosaicError("divisor factorization needs a fully built complex")
@@ -896,58 +987,54 @@ def verify_divisor_factorization(complex_, subset, factors=None):
             f"factors of the divisor {sorted(S)} of n={n} must be the {m1}-gon and "
             f"{m2}-gon complexes, got {factor_s.n} and {factor_c.n}")
 
-    inside = sorted(S)
-    outside = sorted(set(range(1, n + 1)) - S)
-    map_s = {x: t + 1 for t, x in enumerate(inside)}
-    map_c = {x: t + 1 for t, x in enumerate(outside)}
     report = DivisorReport(n=n, subset=S, factor_sizes=(m1, m2),
                            sub_f_vector=sub.f_vector())
 
-    halves = [], []
-    for cell in sub.cells:
-        arcs = _separating_diagonal(cell, S)
-        for half, factor, arc, label_map in zip(halves, factors, arcs, (map_s, map_c)):
-            half.append(_arc_subdissection(cell.labels, cell.diagonals,
-                                           *arc, label_map, factor.n))
-    found_s, found_c = (_cell_indices(factor, *zip(*half)).tolist()
-                        for factor, half in zip(factors, halves))
-    image = {}
-    for cell, s, c in zip(sub.cells, found_s, found_c):
-        cs, cc = factor_s.cells[s], factor_c.cells[c]
-        image[cell.index] = (s, c)
-        report.cells_checked += 1
-        if cell.codim != cs.codim + cc.codim + 1:
-            report.failures.append(
-                f"cell {cell.index}: codim {cell.codim} vs factors "
-                f"{cs.codim}+{cc.codim}+1")
-
-    expected = len(factor_s.cells) * len(factor_c.cells)
-    if len(image) != expected or len(set(image.values())) != expected:
+    halves = _halves(sub)
+    found_s, found_c = (_row_indices(factor, *half) for factor, half in zip(factors, halves))
+    codim = np.repeat(list(sub.grade_range), sub.f_vector())
+    codim_s, codim_c = halves[0][1], halves[1][1]
+    for i in np.flatnonzero(codim != codim_s + codim_c + 1).tolist():
         report.failures.append(
-            f"cell map is not a bijection: {len(set(image.values()))} distinct "
+            f"cell {i}: codim {codim[i]} vs factors {codim_s[i]}+{codim_c[i]}+1")
+    # a product cell (s, t) is numbered s * size_c + t, a pair of cells
+    # (p, c) of the product p * expected + c
+    size_c, image = len(factor_c.cells), found_s * len(factor_c.cells) + found_c
+    report.cells_checked = len(image)
+
+    expected = len(factor_s.cells) * size_c
+    distinct = len(np.unique(image))
+    if len(image) != expected or distinct != expected:
+        report.failures.append(
+            f"cell map is not a bijection: {distinct} distinct "
             f"images of {len(image)} cells, product has {expected}")
         return report
 
-    sub_pairs = {(p, c) for p, c, _ in sub.boundary_pairs()}
-    product_pairs = set()
-    for p, c, _ in factor_s.boundary_pairs():
-        for other in range(len(factor_c.cells)):
-            product_pairs.add(((p, other), (c, other)))
-    for p, c, _ in factor_c.boundary_pairs():
-        for other in range(len(factor_s.cells)):
-            product_pairs.add(((other, p), (other, c)))
-    mapped_pairs = {(image[p], image[c]) for p, c in sub_pairs}
-    report.incidences_checked = len(sub_pairs)
-    if len(mapped_pairs) != len(sub_pairs):
+    def pairs(complex_):
+        # every (parent, child) incidence of a complex, as two arrays
+        codes = np.concatenate([np.zeros(0, dtype=np.int64)]
+                               + [level.pc_codes for level in complex_.levels.values()])
+        return codes >> 32, codes & 0xFFFFFFFF
+
+    p, c = pairs(sub)
+    mapped = np.unique(image[p] * expected + image[c])
+    report.incidences_checked = len(p)
+    # each factor's incidences, beside every cell of the other factor
+    (ps, cs), (pc, cc) = pairs(factor_s), pairs(factor_c)
+    product = np.unique(np.concatenate([
+        np.add.outer((ps * expected + cs) * size_c, np.arange(size_c) * (expected + 1)),
+        np.add.outer(pc * expected + cc,
+                     np.arange(len(factor_s.cells)) * size_c * (expected + 1))], axis=None))
+    if len(mapped) != len(p):
         report.failures.append("incidence map collapsed distinct pairs")
-    missing = mapped_pairs - product_pairs
-    extra = product_pairs - mapped_pairs
+    missing = len(np.setdiff1d(mapped, product, assume_unique=True))
+    extra = len(product) - (len(mapped) - missing)
     if missing:
         report.failures.append(
-            f"{len(missing)} divisor incidences are not product incidences")
+            f"{missing} divisor incidences are not product incidences")
     if extra:
         report.failures.append(
-            f"{len(extra)} product incidences are missing from the divisor")
+            f"{extra} product incidences are missing from the divisor")
     return report
 
 
@@ -989,12 +1076,12 @@ class CoveringReport:
 def covering_map(cover, projective):
     """Map each double-cover cell to its projective cell and verify.
 
-    A cell's image is the projective least member of its own labels and
-    diagonals, all found at once by _cell_indices: the map forgets the
-    orientation of the root node.  Every fiber must have exactly two
-    cells, and the parent-table row of each cell must map one-to-one
-    onto the row of its image; the incidences on both sides have
-    multiplicity 2^(k-1).
+    A cell's image is the projective least member of the labels and
+    diagonals read from its code, all found at once by _row_indices: the
+    map forgets the orientation of the root node.  Every fiber must have
+    exactly two cells, and the parent-table row of each cell must map
+    one-to-one onto the row of its image; the incidences on both sides
+    have multiplicity 2^(k-1).
     """
     if cover.mode != DOUBLE_COVER or projective.mode != PROJECTIVE:
         raise MosaicError("need a double-cover complex and a projective complex")
@@ -1002,8 +1089,7 @@ def covering_map(cover, projective):
         raise MosaicError(f"sizes differ: {cover.n} vs {projective.n}")
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
-    image = _cell_indices(projective, [cell.labels for cell in cover.cells],
-                          [cell.diagonals for cell in cover.cells])
+    image = _row_indices(projective, *_cell_rows(cover, cover.grade_range))
     report = CoveringReport(n=cover.n, mapping=tuple(image.tolist()))
 
     fibers = np.bincount(image, minlength=len(projective.cells))

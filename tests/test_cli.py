@@ -1,6 +1,7 @@
 """End-to-end runs of the command line front end."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -123,6 +124,22 @@ def test_complex_json_round_trip():
     ids = {entry["id"] for entry in payload["cells"]}
     for parent, child in payload["boundary"]:
         assert parent in ids and child in ids
+
+
+# sha256 of the stdout of `mosaic complex --n N --mode M --json`, frozen
+COMPLEX_JSON_SHA256 = {
+    (6, "projective"): "dcbb17f774b66ce22596e306c821df172ff9f877975a17b33ec8446b92cda7be",
+    (6, "double-cover"): "ee51e84084cf66596a5824871fdce9e9743a4ffc3694e665c6055a10ce89892a",
+    (7, "projective"): "e5f3787577119e809e3f747d8c24e2dadb55598e6e4a2c82d01e2180ae43b6ad",
+    (7, "double-cover"): "fedefafef9825db4af67d436358ee2a300d98cb680caf9bb417463e5a28939e3",
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(COMPLEX_JSON_SHA256))
+def test_complex_json_bytes_are_frozen(n, mode):
+    code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPLEX_JSON_SHA256[n, mode]
 
 
 def test_complex_dot_output():

@@ -1,9 +1,9 @@
 """Twists, cell complexes, divisors, coverings, surfaces."""
 
 import re
-from dataclasses import replace
 from math import comb, factorial
 
+import numpy as np
 import pytest
 
 from mosaic.errors import (
@@ -20,9 +20,9 @@ from mosaic.errors import (
 from mosaic.moduli import (
     DOUBLE_COVER,
     PROJECTIVE,
-    _arc_subdissection,
-    _cell_indices,
-    _separating_diagonal,
+    Cell,
+    _halves,
+    _row_indices,
     _tile_boundaries,
     build_complex,
     cell_class,
@@ -285,6 +285,66 @@ def test_cell_lookup_rejects_foreign_cells(cache):
         complex_.resolve(cell_class(Dissection((1, 2, 3, 4, 5)), DOUBLE_COVER))
 
 
+def _fields(cells):
+    # Cell equality ignores size and index
+    return [(c.mode, c.labels, c.diagonals, c.size, c.index) for c in cells]
+
+
+@pytest.mark.parametrize("name", ("projective", "double cover", "divisor"))
+def test_cells_read_as_a_sequence(name, cache):
+    complex_ = {"projective": lambda: cache.full(5),
+                "double cover": lambda: cache.full(5, DOUBLE_COVER),
+                "divisor": lambda: divisor_subcomplex(cache.full(6), {1, 2, 3})}[name]()
+    cells, size = complex_.cells, sum(complex_.f_vector())
+    assert len(cells) == size
+    read = _fields(cells)
+    assert read == _fields(c for k in sorted(complex_.grade_range) for c in complex_.cells_at(k))
+    assert read == _fields(cells[i] for i in range(size))
+    assert [index for *_, index in read] == list(range(size))
+    assert _fields([cells[-1], cells[-size]]) == [read[-1], read[0]]
+    assert _fields(cells[3:9]) == read[3:9]
+    assert _fields(cells[::-4]) == read[::-4]
+    assert _fields(cells[2:][5:-1:2]) == read[2:][5:-1:2]
+    assert len(cells[size:]) == 0
+    for index in (size, -size - 1):
+        with pytest.raises(IndexError):
+            cells[index]
+    with pytest.raises(TypeError):
+        cells[0] = cells[1]
+
+
+# a cell of grade 2, which a complex built to max_codim 1 lacks
+DEEP = cell_class(Dissection((1, 2, 3, 4, 5), frozenset({(0, 2), (0, 3)})), PROJECTIVE)
+
+
+@pytest.mark.parametrize("cell", (
+    # the other mode
+    Cell(DOUBLE_COVER, (1, 2, 3, 4, 5), (), 1),
+    # another n
+    Cell(PROJECTIVE, (1, 2, 3, 4), (), 1),
+    Cell(PROJECTIVE, (1, 2, 3, 4, 5, 6), (), 1),
+    DEEP,
+    # diagonal sets that no grade-1 set equals: crossing, unsorted, adjacent
+    Cell(PROJECTIVE, (1, 2, 3, 4, 5), ((0, 2), (1, 3)), 4),
+    Cell(PROJECTIVE, (1, 2, 3, 4, 5), ((1, 3), (0, 2)), 4),
+    Cell(PROJECTIVE, (1, 2, 3, 4, 5), ((0, 1),), 2),
+    # labels that are no permutation of 1..5, or no numbers; the last two
+    # carry in base 6 onto the code of the tile (1, 2, 3, 5, 4)
+    Cell(PROJECTIVE, (1, 2, 2, 4, 5), (), 1),
+    Cell(PROJECTIVE, (0, 2, 3, 4, 5), (), 1),
+    Cell(PROJECTIVE, ("a", "b", "c", "d", "e"), (), 1),
+    Cell(PROJECTIVE, (1, 2, 3, 4, 10), (), 1),
+    Cell(PROJECTIVE, (1, 2, 3, 6, -2), (), 1),
+))
+def test_resolve_raises_unknown_cell_for_a_cell_it_lacks(cell, cache):
+    shallow = build_complex(5, max_codim=1)
+    with pytest.raises(UnknownCell) as info:
+        shallow.resolve(cell)
+    assert type(info.value) is UnknownCell
+    if cell is DEEP:
+        assert cache.full(5).resolve(cell) == cell
+
+
 def test_cells_at_rejects_missing_grades(cache):
     with pytest.raises(RangeError):
         cache.full(4).cells_at(5)
@@ -350,6 +410,24 @@ def test_divisor_coboundaries_follow_the_doubling_law(cache):
         sub.tile_adjacency()
 
 
+def cut_arcs(cell, subset):
+    # the vertex arcs (x, y), one per diagonal of the cell, whose sides
+    # x..y-1 hold exactly the labels in subset
+    n = len(cell.labels)
+    return [(x, y) for i, j in cell.diagonals for x, y in ((i, j), (j, i))
+            if {cell.labels[(x + t) % n] for t in range((y - x) % n)} == subset]
+
+
+def arc_half(cell, x, y, side):
+    # the sub-polygon on the vertex arc x..y: its sides relabeled 1.. in
+    # the order of side, closed by the chord (x, y) as its last side
+    n, span = len(cell.labels), (y - x) % len(cell.labels)
+    rename = {v: t + 1 for t, v in enumerate(side)}
+    labels = tuple(rename[cell.labels[(x + t) % n]] for t in range(span)) + (span + 1,)
+    moved = [tuple(sorted(((u - x) % n, (v - x) % n))) for u, v in cell.diagonals]
+    return Dissection(labels, frozenset(d for d in moved if d[1] <= span and d != (0, span)))
+
+
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_divisor_cells_match_a_separating_diagonal_scan(n, cache):
     # membership read through the parent tables equals a label test on
@@ -359,10 +437,9 @@ def test_divisor_cells_match_a_separating_diagonal_scan(n, cache):
         sub = divisor_subcomplex(complex_, subset)
         scanned = []
         for cell in complex_.cells:
-            arcs = _separating_diagonal(cell, subset)
-            if arcs is not None:
-                (x, y), _ = arcs
-                assert {cell.labels[(x + t) % n] for t in range((y - x) % n)} == subset
+            arcs = cut_arcs(cell, subset)
+            assert len(arcs) <= 1, (sorted(subset), cell)
+            if arcs:
                 scanned.append(cell.index)
         assert [complex_.resolve(cell).index for cell in sub.cells] == scanned, sorted(subset)
 
@@ -373,18 +450,14 @@ def test_divisor_halves_resolve_in_bulk_as_cell_for_does(n, cache):
     # cells the scalar route finds one dissection at a time
     complex_ = cache.full(n)
     for subset in divisor_label_classes(n):
-        cells = divisor_subcomplex(complex_, subset).cells
+        sub = divisor_subcomplex(complex_, subset)
+        arcs = [cut_arcs(cell, subset)[0] for cell in sub.cells]
         sides = sorted(subset), sorted(set(range(1, n + 1)) - subset)
-        for half, side in enumerate(sides):
+        for h, (side, half) in enumerate(zip(sides, _halves(sub))):
             factor = cache.full(len(side) + 1)
-            label_map = {x: t + 1 for t, x in enumerate(side)}
-            rows = [_arc_subdissection(cell.labels, cell.diagonals,
-                                       *_separating_diagonal(cell, subset)[half],
-                                       label_map, factor.n)
-                    for cell in cells]
-            scalar = [factor.cell_for(Dissection(labels, frozenset(diags))).index
-                      for labels, diags in rows]
-            assert _cell_indices(factor, *zip(*rows)).tolist() == scalar, (sorted(subset), half)
+            scalar = [factor.cell_for(arc_half(cell, *arc[::-1 if h else 1], side)).index
+                      for cell, arc in zip(sub.cells, arcs)]
+            assert _row_indices(factor, *half).tolist() == scalar, (sorted(subset), h)
 
 
 def test_divisor_needs_grade_one_of_the_ambient_complex():
@@ -417,6 +490,25 @@ def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):
     swapped = (cache.full(4), cache.full(3))
     with pytest.raises(MosaicError):
         verify_divisor_factorization(complex_, {1, 2}, swapped)
+
+
+@pytest.mark.parametrize("subset, moved, counted", (
+    # an edge of the S factor moved onto another tile: the 6 cells of
+    # the other factor each carry one wrong product incidence
+    ({1, 2, 3}, 0, 6),
+    # the same in the complement factor, against the 3-gon's one cell
+    ({1, 2}, 1, 1),
+))
+def test_divisor_factorization_counts_the_incidences_a_bad_factor_breaks(
+        subset, moved, counted, cache):
+    factors = [build_complex(len(subset) + 1), build_complex(7 - len(subset))]
+    row = factors[moved].levels[1].parents[0]
+    row[1] = next(t for t in range(*factors[moved].grade_range[0]) if t not in row)
+    row.sort()
+    report = verify_divisor_factorization(cache.full(6), subset, factors)
+    assert report.failures == [
+        f"{counted} divisor incidences are not product incidences",
+        f"{counted} product incidences are missing from the divisor"]
 
 
 def test_every_pentagon_divisor_class_passes(cache):
@@ -472,18 +564,34 @@ def test_covering_map_names_a_lift_whose_parents_do_not_match(cache):
 
 @pytest.mark.parametrize("edit", (
     # label 2 becomes a second 3: the image is no labeling 1..5
-    lambda cell: replace(cell, labels=tuple(3 if x == 2 else x for x in cell.labels)),
+    lambda cell: (tuple(3 if x == 2 else x for x in cell.labels), cell.diagonals),
     # two crossing diagonals: the image has no diagonal set of the grade
-    lambda cell: replace(cell, diagonals=((0, 2), (1, 3))),
+    lambda cell: (cell.labels, ((0, 2), (1, 3))),
 ))
 def test_covering_map_names_a_cover_cell_over_no_projective_cell(edit, cache):
     projective = cache.full(5)
     cover = build_complex(5, DOUBLE_COVER)
-    cell = edit(cover.cells_at(2)[0])
-    cover.cells = cover.cells[:cell.index] + (cell,) + cover.cells[cell.index + 1:]
-    with pytest.raises(UnknownCell, match=rf"^row {cell.index}: {re.escape(repr(cell.labels))} "
-                       rf"with diagonals {re.escape(repr(cell.diagonals))} lies in no cell"):
-        covering_map(cover, projective)
+    cell = cover.cells_at(2)[0]
+    labels, diagonals = edit(cell)
+    if diagonals == cell.diagonals:
+        # the covering map reads the cover's cells from their codes, so
+        # the edit goes into the cell's stored code
+        codes, sets = cover._codes[2], len(enumerate_diagonal_sets(5, 2))
+        codes[0] = sum(x * 6 ** (4 - p) for p, x in enumerate(labels)) * sets + codes[0] % sets
+        assert cover.cells[cell.index].labels == labels
+        run = lambda: covering_map(cover, projective)
+    else:
+        # no set index holds crossing diagonals, so the cover's rows, the
+        # edited one among them, go to _row_indices as arrays
+        rows = [(c.labels, c.diagonals) for c in cover.cells]
+        rows[cell.index] = labels, diagonals
+        counts = np.fromiter((len(d) for _, d in rows), np.int64, len(rows))
+        ends = np.fromiter((x for _, d in rows for e in d for x in e), np.int8, 2 * counts.sum())
+        run = lambda: _row_indices(projective, np.array([r for r, _ in rows], dtype=np.int8),
+                                   counts, ends.reshape(-1, 2))
+    with pytest.raises(UnknownCell, match=rf"^row {cell.index}: {re.escape(repr(labels))} "
+                       rf"with diagonals {re.escape(repr(diagonals))} lies in no cell"):
+        run()
 
 
 def test_covering_map_guards(cache):
