@@ -123,11 +123,11 @@ def face_factorization(face):
     """Subpolygon side counts of the face's product decomposition.
 
     A face with k diagonals is a product of k+1 smaller associahedra,
-    one per region of the dissection; the returned sizes n_i satisfy
-    sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
+    one per node of its dual tree.  The sizes n_i are the sorted node
+    degrees of face.dissection, which rejects crossing diagonals; they
+    satisfy sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
     """
-    tree = dual_tree(face.dissection)
-    return tuple(sorted(len(region) for region in tree.regions))
+    return tuple(sorted(dual_tree(face.dissection).degrees()))
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,11 @@ cover the node holding side n keeps its orientation.  So the class's
 members are the independent orientations of the nodes, 2^k of them once
 normalized: up to one global reflection in the projective regime, with
 the root fixed in the double cover.  Rooting the tree at side 1
-(projective) or side n (double cover), the least member is the one in
-which every node that may turn lists its first unit (child block or
-single side) starting with a smaller label than its last.
-`cell_class` applies that rule node by node.
+(projective) or side n (double cover), as `polygon` nests the blocks the
+diagonals cut off, the least member is the one in which every node that
+may turn lists its first unit (child block or single side) starting with
+a smaller label than its last.  `cell_class` applies that rule node by
+node.
 
 `build_complex` enumerates every cell of one regime for one n, graded by
 diagonal count (codimension).  Each grade grows from the one above: add
@@ -52,7 +53,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +70,9 @@ from .errors import (
 )
 from .polygon import (
     Dissection,
+    _block,
+    _diagonal,
+    _rooted_tree,
     cayley_count,
     enumerate_diagonal_sets,
     normalize_diagonal,
@@ -152,83 +155,23 @@ def marked_twist(diss, d):
 # the least member of a twist class
 #
 # Turn the polygon so the root side sits at position 0 (label 1,
-# projective) or n-1 (label n, double cover).  Every diagonal then cuts
-# off a block of side positions away from the root, and the blocks nest
-# the way the nodes of the dual tree do.  A node's units are its child
-# blocks and single sides, in position order; turning the node reverses
-# the order of its units and keeps each unit's content.
+# projective) or n-1 (label n, double cover), and take the rooted dual
+# tree from polygon's nested blocks (`_rooted_tree`).  Turning a node
+# reverses the order of its units and keeps each unit's content.
 
 
-def _block(d, n, mode):
-    # the side positions cut off by the diagonal d, on the side away from
-    # the root; the root side itself is never inside a block
-    i, j = d
-    if mode == PROJECTIVE and i == 0:
-        return (j, n)
-    return (i, j)
-
-
-def _diagonal(block, n):
-    a, b = block
-    return (0, a) if b == n else (a, b)
-
-
-class _Node(NamedTuple):
-    """One node of a rooted dual tree that the least-member rule orients.
-
-    Its units are its child blocks and, between them, single sides.
-    """
-
-    block: tuple        # its side positions (start, stop)
-    children: list      # the blocks of its child nodes, in order
-
-    @property
-    def last(self):
-        """Where the last unit starts."""
-        b = self.block[1]
-        if self.children and self.children[-1][1] == b:
-            return self.children[-1][0]
-        return b - 1
-
-    def turned(self, labels):
-        """The labels with the order of this node's units reversed."""
-        a, b = self.block
-        out = list(labels)
-        out[a:b] = labels[a:b][::-1]
-        for x, y in self.children:
-            out[a + b - y:a + b - x] = labels[x:y]
-        return out
-
-    def moved(self, block):
-        """Where a block goes when the node turns: it moves with its unit."""
-        x, y = block
-        for cx, cy in self.children:
-            if cx <= x and y <= cy:
-                shift = self.block[0] + self.block[1] - cx - cy
-                return x + shift, y + shift
-        return block
+def _root(n, mode):
+    return 0 if mode == PROJECTIVE else n - 1
 
 
 @lru_cache(maxsize=4096)
 def _tree(blocks, n, mode):
-    # the nodes in post-order, children before parents: the non-root
-    # nodes come first, one per block, and the projective root last.
-    # Blocks are taken by start, outer before inner; a node is complete
-    # once a block starts at or past its end.  Cached, as a query meets
-    # the same few diagonal sets again and again: callers pass a tuple
-    # and do not change the nodes.
-    nodes = []
-    stack = [((1, n) if mode == PROJECTIVE else (0, n - 1), [])]
-    for block in sorted(blocks, key=lambda blk: (blk[0], -blk[1])):
-        while block[0] >= stack[-1][0][1]:
-            nodes.append(_Node(*stack.pop()))
-        stack[-1][1].append(block)
-        stack.append((block, []))
-    while stack:
-        nodes.append(_Node(*stack.pop()))
-    if mode == DOUBLE_COVER:
-        nodes.pop()
-    return nodes
+    # the nodes that may turn, children before parents: one per block
+    # first, then the projective root; the double cover's root never
+    # turns.  Cached, as a query meets the same few diagonal sets again
+    # and again: callers pass a tuple and do not change the nodes.
+    nodes = _rooted_tree(blocks, n, _root(n, mode))
+    return nodes[:-1] if mode == DOUBLE_COVER else nodes
 
 
 @dataclass(frozen=True)
@@ -277,9 +220,10 @@ def _least_member(diss, mode):
     r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
     labels = labels[r:] + labels[:r]
     blocks = []
+    root = _root(n, mode)
     for u, v in diss.diagonals:
         u, v = (u - r) % n, (v - r) % n
-        blocks.append(_block((u, v) if u < v else (v, u), n, mode))
+        blocks.append(_block((u, v) if u < v else (v, u), n, root))
     for node in _tree(tuple(sorted(blocks)), n, mode):
         if labels[node.block[0]] > labels[node.last]:
             labels = node.turned(labels)
@@ -329,7 +273,7 @@ class _Grade:
 
     def __init__(self, n, mode, k, block_id):
         self.sets = enumerate_diagonal_sets(n, k)
-        self.trees = [_tree(tuple(_block(d, n, mode) for d in ds), n, mode)
+        self.trees = [_tree(tuple(_block(d, n, _root(n, mode)) for d in ds), n, mode)
                       for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
         self.ids = np.array([[block_id[node.block] for node in tree[:k]]
@@ -348,7 +292,8 @@ class _Blocks(dict):
     """The number in polygon_diagonals of each block's diagonal."""
 
     def __init__(self, n, mode):
-        super().__init__((_block(d, n, mode), t) for t, d in enumerate(polygon_diagonals(n)))
+        super().__init__((_block(d, n, _root(n, mode)), t)
+                         for t, d in enumerate(polygon_diagonals(n)))
         self.n, self._turns = n, {}
 
     def turn(self, node):
@@ -1039,17 +984,12 @@ def verify_divisor_factorization(complex_, subset, factors=None):
 
 
 def divisor_label_classes(n):
-    """All label subsets giving distinct divisors, normalized to omit n."""
-    out = set()
-    full = frozenset(range(1, n + 1))
-    for r in range(2, n - 1):
-        for combo in combinations(range(1, n + 1), r):
-            S = frozenset(combo)
-            if n in S:
-                S = full - S
-            if 2 <= len(S) <= n - 2:
-                out.add(S)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """All label subsets giving distinct divisors, normalized to omit n.
+
+    Those are the subsets of 1..n-1 with 2 <= |S| <= n-2, by size and
+    then in lexicographic order.
+    """
+    return [frozenset(c) for r in range(2, n - 1) for c in combinations(range(1, n), r)]
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
     UnknownLabel,
 )
-from .polygon import Dissection, dihedral_canonical, enumerate_diagonal_sets
+from .polygon import Dissection, _map_diagonals, dihedral_canonical, enumerate_diagonal_sets
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,8 @@ def compose_single(g, a, h, b):
 
     labels = tuple(g.labels[(p + 1 + t) % n1] for t in range(n1 - 1)) \
         + tuple(h.labels[(q + 1 + t) % n2] for t in range(n2 - 1))
-    diagonals = [(0, n1 - 1)]
-    for u, v in g.diagonals:
-        x, y = (u - p - 1) % n1, (v - p - 1) % n1
-        diagonals.append((x, y) if x < y else (y, x))
-    for u, v in h.diagonals:
-        x = (n1 - 1 + (u - q - 1) % n2) % total
-        y = (n1 - 1 + (v - q - 1) % n2) % total
-        diagonals.append((x, y) if x < y else (y, x))
+    diagonals = ((0, n1 - 1),) + _map_diagonals(g.diagonals, lambda v: v - p - 1, n1) \
+        + _map_diagonals(h.diagonals, lambda v: n1 - 1 + (v - q - 1) % n2, total)
     result = Dissection(labels, frozenset(diagonals))
 
     if result.n != total or len(result.diagonals) != len(g.diagonals) + len(h.diagonals) + 1:

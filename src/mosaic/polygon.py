@@ -10,6 +10,11 @@ The dihedral group of order 2n acts by rotating and reflecting positions;
 `dihedral_canonical` picks a distinguished representative of each orbit.
 `enumerate_diagonal_sets` and `cayley_count` count dissections two ways,
 once by backtracking and once in closed form.
+
+A dissection and its dual tree are one object: rooted at a side, the
+diagonals cut off blocks of side positions that nest as the tree's nodes
+do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
+at side 0, and the least-member rule of `moduli` turns their nodes.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     AdjacentDiagonal,
@@ -219,14 +225,90 @@ def dihedral_canonical(diss):
     return Dissection(new_labels, frozenset(diags))
 
 
+# ---------------------------------------------------------------------------
+# dual trees
+#
+# Pick a root side.  Every diagonal cuts off a block of side positions
+# away from it, and the blocks nest the way the nodes of the dual tree
+# do: a node's units are its child blocks and, between them, single
+# sides, in position order.  The root is side 0 or side n-1, so no block
+# wraps past position n-1.
+
+
+def _block(d, n, root):
+    # the side positions cut off by the diagonal d, on the side away from
+    # the root; the root side itself is never inside a block
+    i, j = d
+    return (j, n) if i <= root < j else (i, j)
+
+
+def _diagonal(block, n):
+    a, b = block
+    return (0, a) if b == n else (a, b)
+
+
+class _Node(NamedTuple):
+    """One node of a rooted dual tree.
+
+    Its units are its child blocks and, between them, single sides.
+    """
+
+    block: tuple        # its side positions (start, stop)
+    children: list      # the blocks of its child nodes, in order
+
+    @property
+    def last(self):
+        """Where the last unit starts."""
+        b = self.block[1]
+        if self.children and self.children[-1][1] == b:
+            return self.children[-1][0]
+        return b - 1
+
+    def turned(self, labels):
+        """The labels with the order of this node's units reversed."""
+        a, b = self.block
+        out = list(labels)
+        out[a:b] = labels[a:b][::-1]
+        for x, y in self.children:
+            out[a + b - y:a + b - x] = labels[x:y]
+        return out
+
+    def moved(self, block):
+        """Where a block goes when the node turns: it moves with its unit."""
+        x, y = block
+        for cx, cy in self.children:
+            if cx <= x and y <= cy:
+                shift = self.block[0] + self.block[1] - cx - cy
+                return x + shift, y + shift
+        return block
+
+
+def _rooted_tree(blocks, n, root):
+    # the nodes in post-order, children before parents: one per block,
+    # then the root node, whose block is every position but the root.
+    # Blocks are taken by start, outer before inner; a node is complete
+    # once a block starts at or past its end.
+    nodes = []
+    stack = [((1, n) if root == 0 else (0, n - 1), [])]
+    for block in sorted(blocks, key=lambda blk: (blk[0], -blk[1])):
+        while block[0] >= stack[-1][0][1]:
+            nodes.append(_Node(*stack.pop()))
+        stack[-1][1].append(block)
+        stack.append((block, []))
+    while stack:
+        nodes.append(_Node(*stack.pop()))
+    return nodes
+
+
 @dataclass(frozen=True)
 class DualTree:
     """Dual tree of a dissection.
 
     One vertex per subpolygon (region), one internal edge per diagonal,
     one leaf per polygon side.  Regions are stored as vertex cycles in
-    the polygon's boundary orientation; `leaf_cycle` walks the tree as a
-    planar tree and reads the leaf labels back off.
+    the polygon's boundary orientation, each starting at its least
+    vertex, and sorted; `leaf_cycle` walks the tree as a planar tree and
+    reads the leaf labels back off.
     """
 
     regions: tuple          # tuple of vertex cycles (tuples of vertex indices)
@@ -247,98 +329,53 @@ class DualTree:
         for r1, r2, d in self.edges:
             adjacency[(r1, d)] = r2
             adjacency[(r2, d)] = r1
-        side_region = {}
-        for pos, (region, _) in enumerate(self.leaves):
-            side_region[pos] = region
         out = []
 
-        def boundary(region_index):
-            cycle = self.regions[region_index]
-            return [(cycle[t], cycle[(t + 1) % len(cycle)]) for t in range(len(cycle))]
-
-        def walk(region_index, entry_edge):
-            edges = boundary(region_index)
-            start = next(t for t, (a, b) in enumerate(edges)
-                         if {a, b} == set(entry_edge)) + 1
-            for step in range(len(edges) - 1):
-                a, b = edges[(start + step) % len(edges)]
+        def walk(region, start, steps):
+            # a region entered along (a, b) meets it as (b, a), so it
+            # walks on from a through all its other edges
+            cycle = self.regions[region]
+            for t in range(start, start + steps):
+                a, b = cycle[t % len(cycle)], cycle[(t + 1) % len(cycle)]
                 if (b - a) % self.n == 1:
                     out.append(self.leaves[a][1])
                 else:
-                    key = (a, b) if a < b else (b, a)
-                    walk(adjacency[(region_index, key)], key)
+                    nxt = adjacency[(region, (a, b) if a < b else (b, a))]
+                    walk(nxt, self.regions[nxt].index(a), len(self.regions[nxt]) - 1)
 
-        start_region = side_region[0]
-        cycle = self.regions[start_region]
-        # rotate the walk so the side (0, 1) is emitted first
-        pos0 = next(t for t in range(len(cycle))
-                    if cycle[t] == 0 and cycle[(t + 1) % len(cycle)] == 1)
-        rotated = cycle[pos0:] + cycle[:pos0]
-        for t in range(len(rotated)):
-            a, b = rotated[t], rotated[(t + 1) % len(rotated)]
-            if (b - a) % self.n == 1:
-                out.append(self.leaves[a][1])
-            else:
-                key = (a, b) if a < b else (b, a)
-                walk(adjacency[(start_region, key)], key)
+        root = self.leaves[0][0]
+        walk(root, self.regions[root].index(0), len(self.regions[root]))
         return tuple(out)
 
 
-def _split_regions(cycle, diagonals):
-    # recursively cut the vertex cycle along its diagonals; every region
-    # inherits the boundary orientation of its parent
-    if not diagonals:
-        return [tuple(cycle)]
-    d = diagonals[0]
-    rest = diagonals[1:]
-    u, v = d
-    iu = cycle.index(u)
-    iv = cycle.index(v)
-    ia, ib = (iu, iv) if iu < iv else (iv, iu)
-    part1 = cycle[ia:ib + 1]
-    part2 = cycle[ib:] + cycle[:ia + 1]
-    set1 = set(part1)
-    in1, in2 = [], []
-    for e in rest:
-        if e[0] in set1 and e[1] in set1:
-            in1.append(e)
-        else:
-            in2.append(e)
-    return _split_regions(part1, in1) + _split_regions(part2, in2)
-
-
 def dual_tree(diss):
-    """Build the dual tree of a dissection.
+    """Build the dual tree of a dissection from its blocks rooted at side 0.
 
-    The tree has one vertex per region with degree equal to the region's
-    side count, |diagonals| internal edges, and n leaves.
+    A node's region walks from the start of its block over its units,
+    one vertex per single side and a jump over each child block, and
+    closes along the node's diagonal (side 0 for the root).  Each child
+    block is the tree edge to its node and each single side a leaf.
     """
     n = diss.n
-    diagonals = sorted(diss.diagonals)
-    regions = _split_regions(list(range(n)), diagonals)
-    regions.sort(key=lambda cycle: tuple(sorted(cycle)))
-    regions = tuple(regions)
-    owners = {}
-    for idx, cycle in enumerate(regions):
-        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
-            owners.setdefault((a, b) if a < b else (b, a), []).append(idx)
-    edges = []
-    for d in diagonals:
-        touching = owners.get(d, [])
-        if len(touching) != 2:
-            raise InvariantViolation(f"diagonal {d} borders {len(touching)} regions")
-        edges.append((touching[0], touching[1], d))
-    leaves = []
-    for pos in range(n):
-        side = (pos, (pos + 1) % n)
-        side_owners = owners.get(side if side[0] < side[1] else side[::-1], [])
-        if len(side_owners) != 1:
-            raise InvariantViolation(f"side {side} borders {len(side_owners)} regions")
-        leaves.append((side_owners[0], diss.labels[pos]))
-    if len(regions) != len(diagonals) + 1 or min(map(len, regions)) < 3:
-        raise InvariantViolation(
-            f"{len(diagonals)} diagonals cut {[len(c) for c in regions]}-sided regions")
-    return DualTree(regions=regions, edges=tuple(edges), leaves=tuple(leaves), n=n)
+    nodes = _rooted_tree([_block(d, n, 0) for d in diss.diagonals], n, 0)
+    cycles, owner = [], [nodes[-1].block] * n       # side 0 is a leaf of the root
+    for node in nodes:
+        a, b = node.block
+        jumps, vertices = dict(node.children), []
+        while a < b:
+            vertices.append(a)
+            if a in jumps:
+                a = jumps[a]
+            else:
+                owner[a] = node.block
+                a += 1
+        cycles.append(tuple(sorted(vertices + [b % n])))
+    order = sorted(range(len(nodes)), key=cycles.__getitem__)
+    region = {nodes[t].block: r for r, t in enumerate(order)}
+    edges = sorted(((*sorted((region[node.block], region[child])), _diagonal(child, n))
+                    for node in nodes for child in node.children), key=lambda e: e[2])
+    return DualTree(regions=tuple(cycles[t] for t in order), edges=tuple(edges),
+                    leaves=tuple(zip(map(region.get, owner), diss.labels)), n=n)
 
 
 def superimpose(g1, g2):

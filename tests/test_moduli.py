@@ -1,6 +1,7 @@
 """Twists, cell complexes, divisors, coverings, surfaces."""
 
 import re
+from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
@@ -34,6 +35,7 @@ from mosaic.moduli import (
     euler_closed_form,
     euler_proof_sum,
     marked_twist,
+    normalize_divisor_subset,
     tile_count,
     twist,
     verify_divisor_factorization,
@@ -517,6 +519,13 @@ def test_every_pentagon_divisor_class_passes(cache):
     assert len(classes) == 10
     for subset in classes:
         assert verify_divisor_factorization(complex_, subset).passed
+
+
+@pytest.mark.parametrize("n", range(4, 11))
+def test_divisor_label_classes_are_the_normalized_subsets(n):
+    normalized = {normalize_divisor_subset(n, c)
+                  for r in range(2, n - 1) for c in combinations(range(1, n + 1), r)}
+    assert divisor_label_classes(n) == sorted(normalized, key=lambda s: (len(s), sorted(s)))
 
 
 def test_divisor_guards(cache):

@@ -7,6 +7,7 @@ from math import comb
 
 import pytest
 
+from dual_tree_reference import compare_with_reference
 from mosaic.errors import (
     AdjacentDiagonal,
     CrossingDiagonals,
@@ -267,6 +268,24 @@ def test_leaf_cycle_round_trip(n):
             for lab in (labels, scrambled):
                 diss = Dissection(lab, frozenset(ds))
                 assert dual_tree(diss).leaf_cycle() == lab
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_dual_tree_matches_region_cutting(n):
+    # same regions up to rotation, same edges and leaves, leaf cycle = labels
+    assert compare_with_reference(n) == 2 * TOTAL_SETS[n]
+
+
+@pytest.mark.parametrize("n", (3, 4, 6, 8))
+def test_region_cycles_start_at_their_least_vertex(n):
+    # each cycle runs in boundary orientation from its least vertex, so
+    # it is its vertex set in increasing order
+    assert dual_tree(Dissection(tuple(range(1, n + 1)))).regions == (tuple(range(n)),)
+    for k in range(1, n - 2):
+        for ds in enumerate_diagonal_sets(n, k):
+            regions = dual_tree(Dissection(tuple(range(1, n + 1)), frozenset(ds))).regions
+            assert all(cycle == tuple(sorted(cycle)) for cycle in regions)
+            assert list(regions) == sorted(regions)
 
 
 def test_dual_tree_single_region():
