@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from .errors import RangeError
 from .polygon import (
     Dissection,
-    dual_tree,
+    _block,
+    _rooted_tree,
     enumerate_diagonal_sets,
     polygon_diagonals,
     superimpose,
@@ -124,10 +125,15 @@ def face_factorization(face):
 
     A face with k diagonals is a product of k+1 smaller associahedra,
     one per node of its dual tree.  The sizes n_i are the sorted node
-    degrees of face.dissection, which rejects crossing diagonals; they
-    satisfy sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
+    degrees, read off the blocks the diagonals cut off away from side 0
+    (`polygon._rooted_tree`); face.dissection is built first because it
+    is the validity check, rejecting crossing, adjacent, out-of-range
+    and too many diagonals and removing duplicates.  The sizes satisfy
+    sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
     """
-    return tuple(sorted(dual_tree(face.dissection).degrees()))
+    diss = face.dissection
+    blocks = [_block(d, diss.n, 0) for d in diss.diagonals]
+    return tuple(sorted(node.degree for node in _rooted_tree(blocks, diss.n, 0)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,8 @@ once by backtracking and once in closed form.
 A dissection and its dual tree are one object: rooted at a side, the
 diagonals cut off blocks of side positions that nest as the tree's nodes
 do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
-at side 0, and the least-member rule of `moduli` turns their nodes.
+at side 0, `associahedron.face_factorization` reads their degrees, and
+the least-member rule of `moduli` turns their nodes.
 """
 
 from __future__ import annotations
@@ -90,7 +91,18 @@ class Dissection:
             raise RangeError(f"a polygon needs at least 3 sides, got {n}")
         if len(set(labels)) != n:
             raise DuplicateLabel(f"side labels must be distinct: {labels!r}")
-        diags = sorted(normalize_diagonal(d, n) for d in self.diagonals)
+        diags = []
+        for d in self.diagonals:
+            # a pair the program made is already normalized: take it as
+            # it is, and leave every other value to normalize_diagonal
+            if type(d) is tuple and len(d) == 2:
+                u, v = d
+                if type(u) is int and type(v) is int and 0 <= u and v < n \
+                        and 2 <= v - u <= n - 2:
+                    diags.append(d)
+                    continue
+            diags.append(normalize_diagonal(d, n))
+        diags.sort()
         if len(set(diags)) != len(diags):
             diags = sorted(set(diags))
         if len(diags) > n - 3:
@@ -200,27 +212,23 @@ def dihedral_canonical(diss):
     all 2n rotations and reflections applied simultaneously to label
     positions and diagonal endpoints.  Because the labels are distinct,
     exactly one rotation and one reflected rotation begin with the least
-    label, so only those two candidates are compared.
+    label, and those two first differ at their second entry, one of the
+    least label's two neighbours: comparing the neighbours decides.
     """
     labels = diss.labels
     n = diss.n
     keys = [label_sort_key(x) for x in labels]
     r = keys.index(min(keys))
-    rotated = labels[r:] + labels[:r]
-    reversed_labels = labels[::-1]
-    r2 = (n - 1 - r) % n
-    reflected = reversed_labels[r2:] + reversed_labels[:r2]
-    rot_key = tuple(label_sort_key(x) for x in rotated)
-    ref_key = tuple(label_sort_key(x) for x in reflected)
-    # distinct labels make a tie impossible: equality would force the
-    # cycle to be reflection symmetric, which pairs up unequal entries
-    if rot_key == ref_key:
+    after, before = keys[(r + 1) % n], keys[r - 1]
+    if after == before:
         raise InvariantViolation(f"the rotation and the reflection of {labels!r} tie")
-    if rot_key < ref_key:
-        new_labels = rotated
+    if after < before:
+        new_labels = labels[r:] + labels[:r]
         diags = _map_diagonals(diss.diagonals, lambda v: v - r, n)
     else:
-        new_labels = reflected
+        r2 = (n - 1 - r) % n
+        reversed_labels = labels[::-1]
+        new_labels = reversed_labels[r2:] + reversed_labels[:r2]
         diags = _map_diagonals(diss.diagonals, lambda v: n - v - r2, n)
     return Dissection(new_labels, frozenset(diags))
 
@@ -255,6 +263,13 @@ class _Node(NamedTuple):
 
     block: tuple        # its side positions (start, stop)
     children: list      # the blocks of its child nodes, in order
+
+    @property
+    def degree(self):
+        """Its region's side count: its units, and the diagonal (or root
+        side) above it."""
+        a, b = self.block
+        return b - a + 1 - sum(y - x - 1 for x, y in self.children)
 
     @property
     def last(self):

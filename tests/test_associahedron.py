@@ -5,14 +5,20 @@ from collections import Counter
 import pytest
 
 from mosaic.associahedron import (
+    Face,
     face_factorization,
     face_lattice,
     facet_si_graph,
     g_hat_strata,
     reference_polygon,
 )
-from mosaic.errors import RangeError
-from mosaic.polygon import cayley_count
+from mosaic.errors import (
+    AdjacentDiagonal,
+    CrossingDiagonals,
+    RangeError,
+    TooManyDiagonals,
+)
+from mosaic.polygon import cayley_count, dual_tree
 
 TRIANGULATIONS = {4: 2, 5: 5, 6: 14, 7: 42, 8: 132, 9: 429}
 
@@ -80,6 +86,29 @@ def test_factorization_side_counts(n):
         assert sum(sizes) == n + 2 * k
         assert sum(s - 3 for s in sizes) == (n - 3) - k
         assert all(s >= 3 for s in sizes)
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_factorization_reads_the_dual_tree_degrees(n):
+    for face in face_lattice(n).all_faces():
+        assert face_factorization(face) == tuple(sorted(dual_tree(face.dissection).degrees()))
+
+
+@pytest.mark.parametrize("diagonals, error", [
+    (((0, 2), (1, 3)), CrossingDiagonals),
+    (((1, 2),), AdjacentDiagonal),
+    (((0, 5),), AdjacentDiagonal),
+    (((0, 6),), RangeError),
+    (((0, 2), (0, 3), (0, 4), (2, 4)), TooManyDiagonals),
+])
+def test_factorization_rejects_what_a_dissection_rejects(diagonals, error):
+    with pytest.raises(error):
+        face_factorization(Face(6, diagonals))
+
+
+def test_factorization_counts_a_repeated_diagonal_once():
+    assert face_factorization(Face(6, ((0, 2), (0, 2)))) == (3, 5)
+    assert face_factorization(Face(6, ((0, 3), (3, 0), (0, 2)))) == (3, 3, 4)
 
 
 def test_facet_kinds_of_the_small_lattices():

@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import random
 import re
 from math import comb
 
+import numpy as np
 import pytest
 
 from dual_tree_reference import compare_with_reference
@@ -12,6 +14,7 @@ from mosaic.errors import (
     AdjacentDiagonal,
     CrossingDiagonals,
     DuplicateLabel,
+    InvariantViolation,
     MismatchedPolygons,
     NoSuchDiagonal,
     RangeError,
@@ -24,6 +27,7 @@ from mosaic.polygon import (
     diagonals_cross,
     dual_tree,
     enumerate_diagonal_sets,
+    label_sort_key,
     normalize_diagonal,
     polygon_diagonals,
     si_condition,
@@ -140,6 +144,59 @@ def test_dissection_rejects_crossing_diagonals():
                 assert Dissection(labels, given).diagonals == {d1, d2}
 
 
+def _validated_diagonals(labels, diagonals):
+    # every diagonal through normalize_diagonal, then the same checks in
+    # the same order as Dissection: the constructor before it took
+    # normalized pairs as they are
+    n = len(labels)
+    diags = sorted(set(normalize_diagonal(d, n) for d in diagonals))
+    if len(diags) > n - 3:
+        raise TooManyDiagonals(f"{len(diags)} diagonals in a {n}-gon (max {n - 3})")
+    for i, (a, b) in enumerate(diags):
+        for c, d in diags[i + 1:]:
+            if a < c < b < d:
+                raise CrossingDiagonals(f"{(a, b)} crosses {(c, d)}")
+    return frozenset(diags)
+
+
+def _outcome(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("diagonals", [
+    [(3, 0)],                              # a reversed pair
+    [[0, 3]],                              # a list pair
+    [(True, 3)],                           # a bool vertex
+    [(np.int64(0), 3)],                    # numpy ints
+    [(0, np.int32(3))],
+    [(0, 6)],                              # a vertex out of range
+    [(-1, 2)],
+    [(2, 3)],                              # adjacent vertices
+    [(0, 5)],                              # adjacent across vertex 0
+    [(0, 1, 2)],                           # not a pair
+    [(0.0, 2)],
+    [(0, 2), (0, 2)],                      # a duplicate, given twice
+    [(0, 2), (2, 0)],
+    [(0, 2), (0, 3), (0, 4), (1, 3)],      # too many diagonals
+    [(0, 3), (1, 4)],                      # crossing diagonals
+    [(4, 1), (0, 3)],
+    [(0, 2), (2, 4), (0, 4)],              # valid, normalized
+    [],
+])
+def test_normalized_pairs_are_taken_as_the_full_checks_would(diagonals):
+    # the constructor skips normalize_diagonal for plain int pairs that
+    # are already normalized; it must accept and reject exactly what
+    # normalizing every pair does, with the same exception and message
+    labels = tuple(range(1, 7))
+    got = _outcome(lambda: Dissection(labels, diagonals).diagonals)
+    assert got == _outcome(_validated_diagonals, labels, diagonals)
+    if isinstance(got, frozenset):
+        assert all(type(d) is tuple for d in got)
+
+
 def test_split_labels():
     d = Dissection((1, 2, 3, 4, 5, 6), frozenset({(1, 4)}))
     assert d.split_labels((1, 4)) == ((2, 3, 4), (5, 6, 1))
@@ -240,6 +297,51 @@ def test_canonical_handles_mixed_label_types():
     assert canon in _orbit(diss)
     for image in _orbit(diss):
         assert dihedral_canonical(image) == canon
+
+
+def _least_image(diss):
+    # brute force: the least (labels, diagonals) encoding of all 2n
+    # images, labels compared by label_sort_key
+    return min(_orbit(diss), key=lambda d: (tuple(map(label_sort_key, d.labels)),
+                                            tuple(sorted(d.diagonals))))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_canonical_is_the_least_of_all_images(n):
+    # every dissection, under shuffled integer labels and under labels
+    # that mix integers and strings
+    rng = random.Random(n)
+    labelings = []
+    for _ in range(3):
+        ints = list(range(1, n + 1))
+        rng.shuffle(ints)
+        mixed = [str(x) if rng.random() < 0.5 else x for x in range(n)]
+        rng.shuffle(mixed)
+        labelings += [tuple(ints), tuple(mixed)]
+    for k in range(n - 2):
+        for ds in enumerate_diagonal_sets(n, k):
+            for labels in labelings:
+                diss = Dissection(labels, frozenset(ds))
+                assert dihedral_canonical(diss) == _least_image(diss)
+
+
+class _AlikeLabel:
+    # distinct under hashing but equal under ==, so two of them are
+    # distinct labels whose sort keys tie
+    def __init__(self, h):
+        self.h = h
+
+    def __hash__(self):
+        return self.h
+
+    def __eq__(self, other):
+        return isinstance(other, _AlikeLabel)
+
+
+def test_canonical_raises_when_the_neighbours_of_the_least_label_tie():
+    labels = (_AlikeLabel(1), _AlikeLabel(2), _AlikeLabel(3))
+    with pytest.raises(InvariantViolation, match="tie"):
+        dihedral_canonical(Dissection(labels))
 
 
 # ---------------------------------------------------------------------------
