@@ -3,9 +3,10 @@
 Each criterion returns a single pass/fail line.  Builds are shared
 through a ComplexCache so the expensive n = 8 complex is enumerated
 once per process.  The coboundary law (criterion 6) is checked per
-grade from the build's parent tables, with no Cell decoded.  Criteria tied to full enumeration honor the n_max
-clamp (and report vacuous passes when clamped away); pure-formula and
-small-structure criteria always run their full stated ranges.
+grade from the build's parent tables, with no Cell decoded.  Criteria
+tied to full enumeration honor the n_max clamp (and report vacuous
+passes when clamped away); pure-formula and small-structure criteria
+always run their full stated ranges.
 """
 
 import time

@@ -9,7 +9,10 @@ deterministic for fixed flags.
 import argparse
 import json
 import sys
+from itertools import islice
 from math import factorial
+
+import numpy as np
 
 from . import acceptance, moduli, quasibraid
 from .errors import InvariantViolation, MosaicError, RangeError
@@ -152,25 +155,57 @@ def cmd_counts(args):
 # complex
 
 
-def complex_payload(complex_):
-    cells = [{"id": cell.index, "codim": cell.codim,
-              "representative": {"labels": list(cell.labels),
-                                 "diagonals": [list(d) for d in cell.diagonals]}}
-             for cell in complex_.cells]
-    boundary = sorted({(p, c) for p, c, _ in complex_.boundary_pairs()})
-    return {"n": complex_.n, "mode": complex_.mode, "cells": cells,
-            "boundary": [list(pair) for pair in boundary],
-            "tiles": [cell.index for cell in complex_.tiles()]}
+_CHUNK = 1 << 12        # list items turned into text at a time
+
+
+def _pair_texts(complex_):
+    # the incidence pairs' text, _CHUNK pairs at a time: grades are
+    # contiguous in index order, so the levels' sorted codes (parent<<32 |
+    # child), level after level, are in order
+    for k in sorted(complex_.levels):
+        codes = complex_.levels[k].pc_codes
+        for lo in range(0, len(codes), _CHUNK):
+            pairs = np.stack(np.divmod(codes[lo:lo + _CHUNK], 1 << 32), axis=1)
+            yield ", ".join(["[%d, %d]"] * len(pairs)) % tuple(pairs.ravel().tolist())
+
+
+def _cell_texts(cells):
+    # the cells' text, _CHUNK cells at a time; each diagonal set's text is
+    # made once, and a label tuple's text without its parentheses is its
+    # list's
+    diagonals, cells = {}, iter(cells)
+    while chunk := list(islice(cells, _CHUNK)):
+        for cell in chunk:
+            if cell.diagonals not in diagonals:
+                diagonals[cell.diagonals] = str(list(map(list, cell.diagonals)))
+        yield ", ".join(f'{{"codim": {c.codim}, "id": {c.index}, "representative": '
+                        f'{{"diagonals": {diagonals[c.diagonals]}, '
+                        f'"labels": [{str(c.labels)[1:-1]}]}}}}' for c in chunk)
+
+
+def write_json(complex_):
+    """Print the complex's incidence pairs, cells, mode, n and tiles as JSON.
+
+    The text is json.dumps with sort_keys of one dict holding them all,
+    and a newline, written _CHUNK list items at a time; no dict is made.
+    """
+    write = sys.stdout.write
+    for head, texts in (('{"boundary": [', _pair_texts(complex_)),
+                        ('], "cells": [', _cell_texts(complex_.cells))):
+        write(head)
+        for i, text in enumerate(texts):
+            write(", " + text if i else text)
+    tiles = ", ".join(map(str, range(*complex_.grade_range[complex_.codim_offset])))
+    write(f'], "mode": {json.dumps(complex_.mode)}, "n": {complex_.n}, "tiles": [{tiles}]}}\n')
 
 
 def render_dot(complex_):
     graph = complex_.tile_adjacency()
     name = f"tiles_n{complex_.n}_{complex_.mode.replace('-', '_')}"
     lines = [f"graph {name} {{"]
-    by_index = {cell.index: cell for cell in complex_.tiles()}
-    for gid in graph.tiles:
-        label = " ".join(str(x) for x in by_index[gid].labels)
-        lines.append(f'  t{gid} [label="{label}"];')
+    for tile in complex_.tiles():
+        label = " ".join(str(x) for x in tile.labels)
+        lines.append(f'  t{tile.index} [label="{label}"];')
     for u, v, facet in graph.edges:
         lines.append(f"  t{u} -- t{v};  // facet {facet}")
     lines.append("}")
@@ -180,7 +215,7 @@ def render_dot(complex_):
 def cmd_complex(args):
     complex_ = moduli.build_complex(args.n, args.mode)
     if args.format == "json":
-        print(json.dumps(complex_payload(complex_), sort_keys=True))
+        write_json(complex_)
     elif args.format == "dot":
         print(render_dot(complex_))
     else:

@@ -36,12 +36,12 @@ A cell is stored only as its code: its least member's labels read in
 base n+1, times the number of diagonal sets of its grade, plus the index
 of its set.  Each grade is one sorted int64 array of codes, and cells
 are numbered in code order, grade by grade.  `ModuliComplex.cells`
-decodes a Cell when one is read; `resolve` and `cell_for` encode one and
-find it by one search in its grade's codes.  The queries read the codes
-and the parent tables as arrays and make no Cell: divisors, surface
-recognition, and the covering map and the divisor factorization check,
-which cut their dissections from the codes and look them all up at once
-with `_least` (`_row_indices`).
+decodes a grade's slice of codes at once; `resolve` and `cell_for`
+encode a cell and find it by one search in its grade's codes.  The
+queries read the codes and the parent tables as arrays and make no Cell:
+divisors, surface recognition, and the covering map and the divisor
+factorization check, which cut their dissections from the codes and look
+them all up at once with `_least` (`_row_indices`).
 """
 
 from __future__ import annotations
@@ -333,7 +333,7 @@ def _unpack(codes, n, set_count):
 
 
 class _Cells(Sequence):
-    """The cells of a complex by index, each decoded from its code when read."""
+    """The cells of a complex by index, decoded a grade's slice of codes at a time."""
 
     def __init__(self, complex_, indices):
         self._complex, self._range = complex_, indices
@@ -344,10 +344,22 @@ class _Cells(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return _Cells(self._complex, self._range[i])
-        return self._complex._cell(self._range[i])
+        index = self._range[i]
+        return next(iter(_Cells(self._complex, range(index, index + 1))))
 
     def __iter__(self):
-        return map(self._complex._cell, self._range)
+        complex_, indices = self._complex, self._range
+        if indices.step != 1:
+            yield from map(self.__getitem__, range(len(indices)))
+            return
+        for k, (start, end) in complex_.grade_range.items():
+            lo, hi = max(start, indices.start), min(end, indices.stop)
+            if lo < hi:
+                sets = complex_._grades[k][2]
+                labels, at = _unpack(complex_._codes[k][lo - start:hi - start],
+                                     complex_.n, len(sets))
+                for index, row, s in zip(range(lo, hi), labels.tolist(), at.tolist()):
+                    yield Cell(complex_.mode, tuple(row), sets[s], 1 << k, index)
 
 
 class ModuliComplex:
@@ -355,7 +367,7 @@ class ModuliComplex:
 
     codes maps each grade to the sorted codes of its cells, the only form
     in which a cell is stored; cells are numbered densely in code order,
-    grade by grade, and cells decodes one when it is read.  The incidence
+    grade by grade, and cells decodes them when read.  The incidence
     between grades k-1 and k is held in levels[k].  A divisor subcomplex
     keeps the ambient codes of its cells, with codim_offset 1: its top
     cells sit at codimension 1 of the ambient complex.
@@ -378,18 +390,6 @@ class ModuliComplex:
             self._grades[k] = (memoryview(grade), start, sets,
                                {ds: s for s, ds in enumerate(sets)})
             start += len(grade)
-
-    def _cell(self, index):
-        # decode one cell with Python ints
-        for k, (codes, start, sets, _) in self._grades.items():
-            if index < start + len(codes):
-                break
-        code, s = divmod(codes[index - start], len(sets))
-        labels, base = [], self.n + 1
-        for _ in range(self.n):
-            code, x = divmod(code, base)
-            labels.append(x)
-        return Cell(self.mode, tuple(labels[::-1]), sets[s], 1 << k, index)
 
     def _index(self, labels, diagonals):
         # the index of the cell with this least member, or None: its code,
@@ -470,7 +470,7 @@ class ModuliComplex:
 
     def resolve(self, cell):
         """This complex's cell equal to a Cell, found by its code."""
-        return self._cell(self._find(cell))
+        return self.cells[self._find(cell)]
 
     def coboundary_counts(self, cell):
         """For each t, the number of codim k-t cells whose closure holds `cell`.
@@ -485,17 +485,6 @@ class ModuliComplex:
             frontier = set(level.parents[[f - level.start for f in frontier]].ravel().tolist())
             out[t] = len(frontier)
         return out
-
-    def boundary_pairs(self):
-        """Iterate (parent index, child index, multiplicity).
-
-        Grade by grade; within a grade by child, then by parent.
-        """
-        for k in sorted(self.levels):
-            level = self.levels[k]
-            for child, parents in enumerate(level.parents.tolist(), level.start):
-                for parent in parents:
-                    yield parent, child, 1 << (k - 1)
 
     def tile_adjacency(self):
         """Dual graph of the tiling: tiles as nodes, one edge per shared facet."""
@@ -1088,7 +1077,7 @@ def _tile_boundaries(complex_):
     rows = vertices.parents.tolist()
 
     # cells are numbered from the tiles on, so a tile's index is its rank
-    sides = [[] for _ in complex_.tiles()]
+    sides = [[] for _ in range(len(complex_.tiles()))]
     for e, row in enumerate(edges.parents.tolist(), edges.start):
         for tile in row:
             sides[tile].append(e)

@@ -7,9 +7,10 @@ import json
 
 import pytest
 
+from cells_reference import reference_dot, reference_payload
 from mosaic import cli, moduli, quasibraid
 from mosaic.errors import InvariantViolation
-from mosaic.moduli import PROJECTIVE, build_complex
+from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, build_complex
 from mosaic.polygon import Dissection
 
 DOT_SQUARE_COVER = """\
@@ -140,6 +141,22 @@ def test_complex_json_bytes_are_frozen(n, mode):
     code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == COMPLEX_JSON_SHA256[n, mode]
+
+
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+@pytest.mark.parametrize("n", (3, 4, 5, 6, 7))
+def test_complex_json_is_the_reference_payload(n, mode, cache):
+    code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--json")
+    assert code == 0
+    assert out == json.dumps(reference_payload(cache.full(n, mode)), sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+@pytest.mark.parametrize("n", (4, 5))
+def test_complex_dot_is_the_reference_rendering(n, mode, cache):
+    code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--dot")
+    assert code == 0
+    assert out == reference_dot(cache.full(n, mode)) + "\n"
 
 
 def test_complex_dot_output():

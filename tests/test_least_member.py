@@ -41,12 +41,9 @@ def test_build_matches_closure(n, mode, cache):
     cells, levels = closure_build(n, mode)
     assert [(c.labels, c.diagonals, c.index, c.size) for c in complex_.cells] == cells
     assert sorted(complex_.levels) == sorted(levels)
-    pairs = list(complex_.boundary_pairs())
-    assert {(p, c): m for p, c, m in pairs} == {
-        pair: m for level in levels.values() for pair, m in level.items()}
-    assert len(pairs) == sum(map(len, levels.values()))
     for k, level in levels.items():
         assert complex_.levels[k].pc_codes.tolist() == sorted((p << 32) | c for p, c in level)
+        assert set(level.values()) == {1 << (k - 1)}
 
 
 @pytest.mark.parametrize("mode", MODES)

@@ -7,6 +7,7 @@ from math import comb, factorial
 import numpy as np
 import pytest
 
+from cells_reference import reference_cells
 from mosaic.errors import (
     BadSubsetSize,
     InvariantViolation,
@@ -235,14 +236,15 @@ def test_coboundary_counts_follow_the_doubling_law(cache):
             assert complex_.coboundary_counts(cell) == expected
 
 
-def test_boundary_pairs_have_positive_multiplicity(cache):
+def test_pc_codes_pair_each_child_with_a_parent_one_codim_up(cache):
     complex_ = cache.full(5)
-    seen = 0
-    for parent, child, count in complex_.boundary_pairs():
-        assert complex_.cells[child].codim == complex_.cells[parent].codim + 1
-        assert count >= 1
-        seen += 1
-    assert seen > 0
+    codim = [cell.codim for cell in complex_.cells]
+    for k, level in complex_.levels.items():
+        codes = level.pc_codes.tolist()
+        assert len(codes) == level.parents.size > 0
+        for code in codes:
+            parent, child = code >> 32, code & 0xFFFFFFFF
+            assert codim[child] == codim[parent] + 1 == k
 
 
 @pytest.mark.parametrize("n,mode", [
@@ -292,27 +294,50 @@ def _fields(cells):
     return [(c.mode, c.labels, c.diagonals, c.size, c.index) for c in cells]
 
 
-@pytest.mark.parametrize("name", ("projective", "double cover", "divisor"))
+# the complexes whose cells are read against the Python-int decoder: n = 5
+# under the three bare names, then n = 3..7 in both regimes and the
+# divisor {1, 2, 3} at n = 7
+CELL_VIEWS = {
+    "projective": (5, PROJECTIVE, None),
+    "double cover": (5, DOUBLE_COVER, None),
+    "divisor": (6, PROJECTIVE, {1, 2, 3}),
+    **{f"{name} n={n}": (n, mode, None)
+       for name, mode in (("projective", PROJECTIVE), ("double cover", DOUBLE_COVER))
+       for n in (3, 4, 6, 7)},
+    "divisor n=7": (7, PROJECTIVE, {1, 2, 3}),
+}
+
+
+@pytest.mark.parametrize("name", list(CELL_VIEWS))
 def test_cells_read_as_a_sequence(name, cache):
-    complex_ = {"projective": lambda: cache.full(5),
-                "double cover": lambda: cache.full(5, DOUBLE_COVER),
-                "divisor": lambda: divisor_subcomplex(cache.full(6), {1, 2, 3})}[name]()
+    n, mode, subset = CELL_VIEWS[name]
+    complex_ = cache.full(n, mode)
+    if subset:
+        complex_ = divisor_subcomplex(complex_, subset)
     cells, size = complex_.cells, sum(complex_.f_vector())
+    want = _fields(reference_cells(complex_))
     assert len(cells) == size
-    read = _fields(cells)
-    assert read == _fields(c for k in sorted(complex_.grade_range) for c in complex_.cells_at(k))
-    assert read == _fields(cells[i] for i in range(size))
-    assert [index for *_, index in read] == list(range(size))
-    assert _fields([cells[-1], cells[-size]]) == [read[-1], read[0]]
-    assert _fields(cells[3:9]) == read[3:9]
-    assert _fields(cells[::-4]) == read[::-4]
-    assert _fields(cells[2:][5:-1:2]) == read[2:][5:-1:2]
+    assert _fields(cells) == want
+    assert _fields(cells[i] for i in range(size)) == want
+    assert _fields(cells[i] for i in range(-size, 0)) == want
+    assert _fields(c for k in sorted(complex_.grade_range) for c in complex_.cells_at(k)) == want
+    start, end = complex_.grade_range[complex_.codim_offset]
+    assert _fields(complex_.tiles()) == want[start:end]
+    for _, end in list(complex_.grade_range.values())[:-1]:
+        assert _fields(cells[end - 1:end + 2]) == want[end - 1:end + 2]
+    assert _fields(cells[3:9]) == want[3:9]
+    assert _fields(cells[::-4]) == want[::-4]
+    assert _fields(cells[2:][5:-1:2]) == want[2:][5:-1:2]
+    assert _fields(cells[-1:][::-1]) == want[-1:]
     assert len(cells[size:]) == 0
     for index in (size, -size - 1):
         with pytest.raises(IndexError):
             cells[index]
+    for index in ("0", 1.0, None):
+        with pytest.raises(TypeError):
+            cells[index]
     with pytest.raises(TypeError):
-        cells[0] = cells[1]
+        cells[0] = cells[-1]
 
 
 # a cell of grade 2, which a complex built to max_codim 1 lacks
