@@ -40,8 +40,8 @@ decodes a grade's slice of codes at once; `resolve` and `cell_for`
 encode a cell and find it by one search in its grade's codes.  The
 queries read the codes and the parent tables as arrays and make no Cell:
 divisors, surface recognition, and the covering map and the divisor
-factorization check, which cut their dissections from the codes and look
-them all up at once with `_least` (`_row_indices`).
+factorization check, which look up all their cells at once with `_least`
+(`_row_indices`) and push each parent row through the map (`_check_map`).
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from bisect import bisect_left
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import factorial
 
@@ -661,6 +661,34 @@ def _row_indices(target, rows, counts, ends):
     return found
 
 
+def _parent_rows(complex_, k, cells):
+    # the parent-table rows of these cells of grade k; a tile has none
+    if k == complex_.codim_offset:
+        return np.zeros((len(cells), 0), dtype=np.int64)
+    return complex_.levels[k].parents[cells - complex_.levels[k].start]
+
+
+def _check_map(source, image, target_rows, fiber, size, name):
+    """The failures of the map sending source cell i to target cell image[i].
+
+    Each of the size target cells, called name cells, must have fiber
+    cells over it, and each source cell's parent row, mapped and sorted,
+    must equal its image's row: target_rows(k, cells) for images of grade k.
+    """
+    fibers = np.bincount(image, minlength=size)
+    failures = [f"fiber over {name} cell {index} has {fibers[index]} cells"
+                for index in np.flatnonzero(fibers != fiber).tolist()]
+    for k, level in sorted(source.levels.items()):
+        targets = image[level.start:level.start + len(level.parents)]
+        pushed, want = np.sort(image[level.parents], axis=1), target_rows(k, targets)
+        for row in np.flatnonzero((pushed != want).any(axis=1)).tolist():
+            failures.append(
+                f"grade {k}: the parents of cell {level.start + row} map to "
+                f"{pushed[row].tolist()}, the parents of its image {targets[row]} "
+                f"are {want[row].tolist()}")
+    return failures
+
+
 # ---------------------------------------------------------------------------
 # counting in closed form
 
@@ -902,10 +930,10 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     Splitting every cell along its separating diagonal and relabeling
     each half must give a bijection onto pairs of cells of the
     (|S|+1)-gon and (n-|S|+1)-gon complexes, shifting grades by one and
-    matching the incidence relation in both directions.  The halves are
-    cut from the cells' codes (_halves) and looked up in each factor all
-    at once by _row_indices; the incidences on both sides are compared
-    as sorted arrays of numbered pairs.
+    matching the incidence relation.  The halves are cut from the cells'
+    codes (_halves) and looked up in each factor all at once by
+    _row_indices; each cell's parent row must map onto the product row
+    of its image (s, t): s's parents beside t and s beside t's (_check_map).
     """
     if not complex_.is_full_depth():
         raise MosaicError("divisor factorization needs a fully built complex")
@@ -931,44 +959,27 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     for i in np.flatnonzero(codim != codim_s + codim_c + 1).tolist():
         report.failures.append(
             f"cell {i}: codim {codim[i]} vs factors {codim_s[i]}+{codim_c[i]}+1")
-    # a product cell (s, t) is numbered s * size_c + t, a pair of cells
-    # (p, c) of the product p * expected + c
+    # a product cell (s, t) is numbered s * size_c + t
     size_c, image = len(factor_c.cells), found_s * len(factor_c.cells) + found_c
     report.cells_checked = len(image)
-
-    expected = len(factor_s.cells) * size_c
-    distinct = len(np.unique(image))
-    if len(image) != expected or distinct != expected:
-        report.failures.append(
-            f"cell map is not a bijection: {distinct} distinct "
-            f"images of {len(image)} cells, product has {expected}")
+    if report.failures:
         return report
+    report.incidences_checked = sum(level.parents.size for level in sub.levels.values())
 
-    def pairs(complex_):
-        # every (parent, child) incidence of a complex, as two arrays
-        codes = np.concatenate([np.zeros(0, dtype=np.int64)]
-                               + [level.pc_codes for level in complex_.levels.values()])
-        return codes >> 32, codes & 0xFFFFFFFF
+    def product_rows(k, cells):
+        # the rows of the cells (s, t), gathered for each codim a of s
+        s, t = np.divmod(cells, size_c)
+        codim_of_s = np.searchsorted(np.cumsum(factor_s.f_vector()), s, side="right")
+        rows = np.empty((len(cells), 2 * (k - 1)), dtype=np.int64)
+        for a in np.unique(codim_of_s).tolist():
+            mine = codim_of_s == a
+            rows[mine] = np.sort(np.hstack([
+                _parent_rows(factor_s, a, s[mine]) * size_c + t[mine, None],
+                s[mine, None] * size_c + _parent_rows(factor_c, k - 1 - a, t[mine])]), axis=1)
+        return rows
 
-    p, c = pairs(sub)
-    mapped = np.unique(image[p] * expected + image[c])
-    report.incidences_checked = len(p)
-    # each factor's incidences, beside every cell of the other factor
-    (ps, cs), (pc, cc) = pairs(factor_s), pairs(factor_c)
-    product = np.unique(np.concatenate([
-        np.add.outer((ps * expected + cs) * size_c, np.arange(size_c) * (expected + 1)),
-        np.add.outer(pc * expected + cc,
-                     np.arange(len(factor_s.cells)) * size_c * (expected + 1))], axis=None))
-    if len(mapped) != len(p):
-        report.failures.append("incidence map collapsed distinct pairs")
-    missing = len(np.setdiff1d(mapped, product, assume_unique=True))
-    extra = len(product) - (len(mapped) - missing)
-    if missing:
-        report.failures.append(
-            f"{missing} divisor incidences are not product incidences")
-    if extra:
-        report.failures.append(
-            f"{extra} product incidences are missing from the divisor")
+    report.failures += _check_map(sub, image, product_rows, 1,
+                                  len(factor_s.cells) * size_c, "product")
     return report
 
 
@@ -1009,7 +1020,7 @@ def covering_map(cover, projective):
     diagonals read from its code, all found at once by _row_indices: the
     map forgets the orientation of the root node.  Every fiber must have
     exactly two cells, and the parent-table row of each cell must map
-    one-to-one onto the row of its image; the incidences on both sides
+    onto the row of its image (_check_map); the incidences on both sides
     have multiplicity 2^(k-1).
     """
     if cover.mode != DOUBLE_COVER or projective.mode != PROJECTIVE:
@@ -1019,24 +1030,8 @@ def covering_map(cover, projective):
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
     image = _row_indices(projective, *_cell_rows(cover, cover.grade_range))
-    report = CoveringReport(n=cover.n, mapping=tuple(image.tolist()))
-
-    fibers = np.bincount(image, minlength=len(projective.cells))
-    for index in np.flatnonzero(fibers != 2).tolist():
-        report.failures.append(
-            f"fiber over projective cell {index} has {fibers[index]} cells")
-
-    for k in sorted(cover.levels):
-        lift, base = cover.levels[k], projective.levels[k]
-        targets = image[lift.start:lift.start + len(lift.parents)]
-        pushed = np.sort(image[lift.parents], axis=1)
-        want = base.parents[targets - base.start]
-        for row in np.flatnonzero((pushed != want).any(axis=1)).tolist():
-            report.failures.append(
-                f"grade {k}: the parents of cell {lift.start + row} map to "
-                f"{pushed[row].tolist()}, the parents of its image {targets[row]} "
-                f"are {want[row].tolist()}")
-    return report
+    return CoveringReport(n=cover.n, mapping=tuple(image.tolist()), failures=_check_map(
+        cover, image, partial(_parent_rows, projective), 2, len(projective.cells), "projective"))
 
 
 # ---------------------------------------------------------------------------

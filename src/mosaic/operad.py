@@ -210,8 +210,7 @@ def check_operad_axioms(max_sides=7):
                 for g in _all_dissections(n1, 100):
                     for h in _all_dissections(n2, 200):
                         for k in _all_dissections(n3, 300):
-                            _sweep_sequential(report, g, h, k)
-                            _sweep_parallel(report, g, h, k)
+                            _sweep_associativity(report, g, h, k)
 
     for n1 in sizes:
         for n2 in sizes:
@@ -228,38 +227,28 @@ def _glued(g, h):
     return {(a, b): compose_single(g, a, h, b) for a in g.labels for b in h.labels}
 
 
-def _sweep_sequential(report, g, h, k):
-    g_h, h_k = _glued(g, h), _glued(h, k)
-    for a in g.labels:
-        for b in h.labels:
-            for c in h.labels:
-                if c == b:
-                    continue
-                for e in k.labels:
-                    left = compose_single(g_h[a, b], c, k, e)
+def _sweep_associativity(report, g, h, k):
+    # (g o_a h) o_c k for every side c that survives g o_a h, against
+    # g o_a (h o_c k) when c is h's (sequential), (g o_c k) o_a h when g's
+    g_k, h_k = _glued(g, k), _glued(h, k)
+    for (a, b), g_h in _glued(g, h).items():
+        for c in g.labels + h.labels:
+            if c in (a, b):
+                continue
+            sequential = c in h.labels
+            for e in k.labels:
+                left = compose_single(g_h, c, k, e)
+                if sequential:
                     right = compose_single(g, a, h_k[c, e], b)
                     report.sequential_checked += 1
-                    if _canonical_key(left) != _canonical_key(right):
-                        report.failures.append(
-                            f"sequential associativity broke at "
-                            f"{g!r} o_{a} {h!r} o_{c} {k!r}")
-
-
-def _sweep_parallel(report, g, h, k):
-    g_h, g_k = _glued(g, h), _glued(g, k)
-    for a in g.labels:
-        for c in g.labels:
-            if c == a:
-                continue
-            for b in h.labels:
-                for e in k.labels:
-                    left = compose_single(g_h[a, b], c, k, e)
+                else:
                     right = compose_single(g_k[c, e], a, h, b)
                     report.parallel_checked += 1
-                    if _canonical_key(left) != _canonical_key(right):
-                        report.failures.append(
-                            f"parallel associativity broke at "
-                            f"{g!r} o_{a} {h!r}, o_{c} {k!r}")
+                if _canonical_key(left) != _canonical_key(right):
+                    report.failures.append(
+                        f"sequential associativity broke at {g!r} o_{a} {h!r} o_{c} {k!r}"
+                        if sequential else
+                        f"parallel associativity broke at {g!r} o_{a} {h!r}, o_{c} {k!r}")
 
 
 def _label_bijections(universe):

@@ -49,7 +49,7 @@ def normalize_diagonal(d, n):
         u, v = d
     except (TypeError, ValueError):
         raise AdjacentDiagonal(f"not a vertex pair: {d!r}") from None
-    if not (isinstance(u, int) and isinstance(v, int)):
+    if not (isinstance(u, int) and isinstance(v, int)) or type(u) is bool or type(v) is bool:
         raise AdjacentDiagonal(f"vertex indices must be integers: {d!r}")
     if not (0 <= u < n and 0 <= v < n):
         raise RangeError(f"diagonal {d!r} has a vertex outside 0..{n - 1}")

@@ -1,6 +1,7 @@
 """Twists, cell complexes, divisors, coverings, surfaces."""
 
 import re
+from functools import partial
 from itertools import combinations
 from math import comb, factorial
 
@@ -23,7 +24,9 @@ from mosaic.moduli import (
     DOUBLE_COVER,
     PROJECTIVE,
     Cell,
+    _check_map,
     _halves,
+    _parent_rows,
     _row_indices,
     _tile_boundaries,
     build_complex,
@@ -458,17 +461,20 @@ def arc_half(cell, x, y, side):
 @pytest.mark.parametrize("n", (4, 5, 6, 7))
 def test_divisor_cells_match_a_separating_diagonal_scan(n, cache):
     # membership read through the parent tables equals a label test on
-    # every diagonal of every ambient cell
+    # every diagonal of every ambient cell: the scan reads each cell's
+    # cuts once and files the cell under every label set they cut off
     complex_ = cache.full(n)
-    for subset in divisor_label_classes(n):
+    everything = frozenset(range(1, n + 1))
+    scanned = {subset: [] for subset in divisor_label_classes(n)}
+    for cell in complex_.cells:
+        cuts = [frozenset(cell.labels[i:j]) for i, j in cell.diagonals]
+        cuts = [everything - cut if n in cut else cut for cut in cuts]
+        assert len(set(cuts)) == len(cuts), cell
+        for cut in cuts:
+            scanned[cut].append(cell.index)
+    for subset, want in scanned.items():
         sub = divisor_subcomplex(complex_, subset)
-        scanned = []
-        for cell in complex_.cells:
-            arcs = cut_arcs(cell, subset)
-            assert len(arcs) <= 1, (sorted(subset), cell)
-            if arcs:
-                scanned.append(cell.index)
-        assert [complex_.resolve(cell).index for cell in sub.cells] == scanned, sorted(subset)
+        assert [complex_.resolve(cell).index for cell in sub.cells] == want, sorted(subset)
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -520,10 +526,11 @@ def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):
 
 
 @pytest.mark.parametrize("subset, moved, counted", (
-    # an edge of the S factor moved onto another tile: the 6 cells of
-    # the other factor each carry one wrong product incidence
+    # a codim-1 cell of the S factor (the 4-gon) moved onto another tile:
+    # the 6 product cells beside it, one per cell of the other factor,
+    # each have a wrong row
     ({1, 2, 3}, 0, 6),
-    # the same in the complement factor, against the 3-gon's one cell
+    # the same in the complement factor, beside the 3-gon's one cell
     ({1, 2}, 1, 1),
 ))
 def test_divisor_factorization_counts_the_incidences_a_bad_factor_breaks(
@@ -533,9 +540,38 @@ def test_divisor_factorization_counts_the_incidences_a_bad_factor_breaks(
     row[1] = next(t for t in range(*factors[moved].grade_range[0]) if t not in row)
     row.sort()
     report = verify_divisor_factorization(cache.full(6), subset, factors)
-    assert report.failures == [
-        f"{counted} divisor incidences are not product incidences",
-        f"{counted} product incidences are missing from the divisor"]
+    grades = [int(re.match(r"grade (\d+): the parents of cell \d+ map to ", f)[1])
+              for f in report.failures]
+    # a product cell of the moved cell and a cell t of codim b lies at
+    # grade 1 + 1 + b of the divisor
+    other = factors[1 - moved]
+    assert len(grades) == counted
+    assert grades == sorted(2 + b for b, (lo, hi) in other.grade_range.items()
+                            for _ in range(lo, hi)), report.failures
+
+
+def test_check_map_names_the_grade_and_the_cell(cache):
+    # the identity map of a complex onto itself passes; two swapped images
+    # break the rows of those cells and of the cells below just one of
+    # them, and two cells sent to one image leave the other's fiber empty
+    complex_ = cache.full(5)
+    size, rows = len(complex_.cells), partial(_parent_rows, complex_)
+    image = np.arange(size)
+    assert _check_map(complex_, image, rows, 1, size, "own") == []
+    e, f = complex_.grade_range[1][0], complex_.grade_range[1][0] + 1
+    image[[e, f]] = f, e
+    failures = _check_map(complex_, image, rows, 1, size, "own")
+    named = {(int(k), int(i)) for k, i in
+             (re.match(r"grade (\d+): the parents of cell (\d+) map to ", x).groups()
+              for x in failures)}
+    level = complex_.levels[2]
+    below = np.flatnonzero(np.isin(level.parents, [e, f]).sum(axis=1) == 1) + level.start
+    assert len(below)
+    assert named == {(1, e), (1, f)} | {(2, v) for v in below.tolist()}, failures
+    image[[e, f]] = e, e
+    failures = _check_map(complex_, image, rows, 1, size, "own")
+    assert failures[:2] == [f"fiber over own cell {e} has 2 cells",
+                            f"fiber over own cell {f} has 0 cells"]
 
 
 def test_every_pentagon_divisor_class_passes(cache):

@@ -100,6 +100,12 @@ def test_normalize_diagonal():
         normalize_diagonal((0, 1, 2), 6)
     with pytest.raises(AdjacentDiagonal):
         normalize_diagonal((0.5, 2), 6)
+    # bool is an int subclass, yet (True, 3) is no vertex pair
+    for d in ((True, 3), (0, False)):
+        with pytest.raises(AdjacentDiagonal, match=r"^vertex indices must be integers: "):
+            normalize_diagonal(d, 6)
+        with pytest.raises(AdjacentDiagonal, match=r"^vertex indices must be integers: "):
+            Dissection((1, 2, 3, 4, 5, 6), [d])
 
 
 # ---------------------------------------------------------------------------
