@@ -63,7 +63,6 @@ from .errors import (
     MosaicError,
     NotASurface,
     NoInfinitySide,
-    NoSuchDiagonal,
     RangeError,
     UnknownCell,
     UnknownLabel,
@@ -75,7 +74,6 @@ from .polygon import (
     _rooted_tree,
     cayley_count,
     enumerate_diagonal_sets,
-    normalize_diagonal,
     polygon_diagonals,
 )
 
@@ -121,11 +119,8 @@ def twist(diss, d):
     sorted diagonal d = (i, j).  Twisting twice along the same diagonal
     is the exact identity.
     """
-    d = normalize_diagonal(d, diss.n)
-    if d not in diss.diagonals:
-        raise NoSuchDiagonal(f"{d} not in {sorted(diss.diagonals)}")
-    labels, diags = _reflect_flap(diss.labels, sorted(diss.diagonals), d[0], d[1])
-    return Dissection(labels, frozenset(diags))
+    labels, diags = _reflect_flap(diss.labels, sorted(diss.diagonals), *diss._own(d))
+    return Dissection._made(labels, frozenset(diags))
 
 
 def marked_twist(diss, d):
@@ -136,19 +131,16 @@ def marked_twist(diss, d):
     exact involution with a pinned frame.
     """
     n = diss.n
-    d = normalize_diagonal(d, n)
-    if d not in diss.diagonals:
-        raise NoSuchDiagonal(f"{d} not in {sorted(diss.diagonals)}")
+    i, j = diss._own(d)
     if n not in diss.labels:
         raise NoInfinitySide(f"no side labeled {n} in {diss.labels!r}")
     p_inf = diss.labels.index(n)
-    i, j = d
     if (p_inf - i) % n < j - i:
         x, y = j, i            # the marked side sits on positions i..j-1
     else:
         x, y = i, j
     labels, diags = _reflect_flap(diss.labels, sorted(diss.diagonals), x, y)
-    return Dissection(labels, frozenset(diags))
+    return Dissection._made(labels, frozenset(diags))
 
 
 # ---------------------------------------------------------------------------
@@ -934,6 +926,8 @@ def verify_divisor_factorization(complex_, subset, factors=None):
     codes (_halves) and looked up in each factor all at once by
     _row_indices; each cell's parent row must map onto the product row
     of its image (s, t): s's parents beside t and s beside t's (_check_map).
+    Given factors must be the full projective complexes of those sizes,
+    or MismatchedPolygons names the one that is not.
     """
     if not complex_.is_full_depth():
         raise MosaicError("divisor factorization needs a fully built complex")
@@ -948,6 +942,13 @@ def verify_divisor_factorization(complex_, subset, factors=None):
         raise MismatchedPolygons(
             f"factors of the divisor {sorted(S)} of n={n} must be the {m1}-gon and "
             f"{m2}-gon complexes, got {factor_s.n} and {factor_c.n}")
+    for which, f in zip(("first", "second"), factors):
+        wrong = [f"mode {f.mode}"] * (f.mode != PROJECTIVE) \
+            + [f"codim_offset {f.codim_offset}"] * (f.codim_offset != 0) \
+            + [f"grades only up to codim {f.max_codim} of {f.n - 3}"] * (not f.is_full_depth())
+        if wrong:
+            raise MismatchedPolygons(f"the {which} factor of the divisor {sorted(S)} must be "
+                                     f"a full projective complex; it has {', '.join(wrong)}")
 
     report = DivisorReport(n=n, subset=S, factor_sizes=(m1, m2),
                            sub_f_vector=sub.f_vector())

@@ -70,7 +70,7 @@ def compose_single(g, a, h, b):
         + tuple(h.labels[(q + 1 + t) % n2] for t in range(n2 - 1))
     diagonals = ((0, n1 - 1),) + _map_diagonals(g.diagonals, lambda v: v - p - 1, n1) \
         + _map_diagonals(h.diagonals, lambda v: n1 - 1 + (v - q - 1) % n2, total)
-    result = Dissection(labels, frozenset(diagonals))
+    result = Dissection._made(labels, frozenset(diagonals))
 
     if result.n != total or len(result.diagonals) != len(g.diagonals) + len(h.diagonals) + 1:
         raise InvariantViolation(
@@ -147,7 +147,7 @@ def relabel(g, sigma):
         raise NonBijective(f"relabeling undefined on {missing.args[0]!r}") from None
     if len(set(new_labels)) != len(new_labels):
         raise NonBijective(f"relabeling is not injective on {g.labels!r}")
-    return Dissection(new_labels, g.diagonals)
+    return Dissection._made(new_labels, g.diagonals)
 
 
 @dataclass
@@ -176,7 +176,7 @@ def _all_dissections(n, pool_start):
     out = []
     for k in range(n - 2):
         for diagset in enumerate_diagonal_sets(n, k):
-            out.append(Dissection(labels, frozenset(diagset)))
+            out.append(Dissection._made(labels, frozenset(diagset)))
     return out
 
 

@@ -6,6 +6,9 @@ by position: position p is the side spanning vertices p and p+1 mod n.
 A diagonal is an unordered pair of non-adjacent vertex indices, stored
 sorted.
 
+A `Dissection` built by a caller is checked; the ones the program derives
+from checked ones are made by `Dissection._made` and not checked again.
+
 The dihedral group of order 2n acts by rotating and reflecting positions;
 `dihedral_canonical` picks a distinguished representative of each orbit.
 `enumerate_diagonal_sets` and `cayley_count` count dissections two ways,
@@ -78,6 +81,10 @@ class Dissection:
         spanning vertices p and p+1 mod n.
     diagonals: frozenset of sorted vertex pairs, pairwise non-crossing,
         at most n-3 of them.
+
+    Built by a caller, it is checked: each pair goes through
+    normalize_diagonal, and then the count and the crossings.  One the
+    program derives from checked parts comes from `_made`, unchecked.
     """
 
     labels: tuple
@@ -91,20 +98,7 @@ class Dissection:
             raise RangeError(f"a polygon needs at least 3 sides, got {n}")
         if len(set(labels)) != n:
             raise DuplicateLabel(f"side labels must be distinct: {labels!r}")
-        diags = []
-        for d in self.diagonals:
-            # a pair the program made is already normalized: take it as
-            # it is, and leave every other value to normalize_diagonal
-            if type(d) is tuple and len(d) == 2:
-                u, v = d
-                if type(u) is int and type(v) is int and 0 <= u and v < n \
-                        and 2 <= v - u <= n - 2:
-                    diags.append(d)
-                    continue
-            diags.append(normalize_diagonal(d, n))
-        diags.sort()
-        if len(set(diags)) != len(diags):
-            diags = sorted(set(diags))
+        diags = sorted({normalize_diagonal(d, n) for d in self.diagonals})
         if len(diags) > n - 3:
             raise TooManyDiagonals(f"{len(diags)} diagonals in a {n}-gon (max {n - 3})")
         # sorted, so a <= c: they cross when c lies inside (a, b), d beyond
@@ -113,6 +107,14 @@ class Dissection:
                 if a < c < b < d:
                     raise CrossingDiagonals(f"{(a, b)} crosses {(c, d)}")
         object.__setattr__(self, "diagonals", frozenset(diags))
+
+    @classmethod
+    def _made(cls, labels, diagonals):
+        # derived from checked parts, so only the two fields are set
+        self = object.__new__(cls)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "diagonals", diagonals)
+        return self
 
     @property
     def n(self):
@@ -128,11 +130,15 @@ class Dissection:
         The first part covers positions i..j-1 for d = (i, j), the second
         the rest.  Raises NoSuchDiagonal if d is not in the dissection.
         """
+        i, j = self._own(d)
+        return (self.labels[i:j], self.labels[j:] + self.labels[:i])
+
+    def _own(self, d):
+        # d as a sorted pair, when it is one of the diagonals
         d = normalize_diagonal(d, self.n)
         if d not in self.diagonals:
             raise NoSuchDiagonal(f"{d} not in {sorted(self.diagonals)}")
-        i, j = d
-        return (self.labels[i:j], self.labels[j:] + self.labels[:i])
+        return d
 
     def __repr__(self):
         return f"Dissection({self.labels!r}, {sorted(self.diagonals)!r})"
@@ -223,14 +229,10 @@ def dihedral_canonical(diss):
     if after == before:
         raise InvariantViolation(f"the rotation and the reflection of {labels!r} tie")
     if after < before:
-        new_labels = labels[r:] + labels[:r]
-        diags = _map_diagonals(diss.diagonals, lambda v: v - r, n)
+        new_labels, vertex = labels[r:] + labels[:r], lambda v: v - r
     else:
-        r2 = (n - 1 - r) % n
-        reversed_labels = labels[::-1]
-        new_labels = reversed_labels[r2:] + reversed_labels[:r2]
-        diags = _map_diagonals(diss.diagonals, lambda v: n - v - r2, n)
-    return Dissection(new_labels, frozenset(diags))
+        new_labels, vertex = labels[r::-1] + labels[:r:-1], lambda v: r + 1 - v
+    return Dissection._made(new_labels, frozenset(_map_diagonals(diss.diagonals, vertex, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +414,7 @@ def superimpose(g1, g2):
         return None
     if diagonals_cross(d1, d2, g1.n):
         return None
-    return Dissection(g1.labels, frozenset((d1, d2)))
+    return Dissection._made(g1.labels, frozenset((d1, d2)))
 
 
 def si_condition(g1, g2):

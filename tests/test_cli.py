@@ -68,6 +68,24 @@ def test_a_broken_invariant_exits_as_a_failed_check(monkeypatch):
     assert err.startswith("error: grade 1: broken on purpose")
 
 
+@pytest.mark.parametrize("mode, k", [(PROJECTIVE, 2), (DOUBLE_COVER, 1)])
+def test_counts_fails_on_a_grade_with_the_wrong_count(monkeypatch, mode, k):
+    # one grade of the closed form off by one: the build's count check,
+    # not counts itself, finds it, and counts exits as a failed check
+    closed_form = moduli.closed_form_f_vector
+
+    def off_by_one(n, mode_=PROJECTIVE):
+        counts = list(closed_form(n, mode_))
+        counts[k] += mode_ == mode
+        return tuple(counts)
+
+    monkeypatch.setattr(moduli, "closed_form_f_vector", off_by_one)
+    code, out, err = run_cli("counts", "--n", "5")
+    assert code == cli.MISMATCH == 2
+    assert out == ""
+    assert err.startswith(f"error: grade {k}: ")
+
+
 def test_counts_json():
     code, out, _ = run_cli("counts", "--n", "6", "--json")
     assert code == 0

@@ -12,6 +12,7 @@ from cells_reference import reference_cells
 from mosaic.errors import (
     BadSubsetSize,
     InvariantViolation,
+    MismatchedPolygons,
     MosaicError,
     NoInfinitySide,
     NoSuchDiagonal,
@@ -523,6 +524,24 @@ def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):
     swapped = (cache.full(4), cache.full(3))
     with pytest.raises(MosaicError):
         verify_divisor_factorization(complex_, {1, 2}, swapped)
+
+
+@pytest.mark.parametrize("subset, factors, message", (
+    ({1, 2, 3}, lambda cache: (cache.full(4, DOUBLE_COVER), cache.full(4, DOUBLE_COVER)),
+     "the first factor of the divisor [1, 2, 3] must be a full projective complex; "
+     "it has mode double-cover"),
+    ({1, 2}, lambda cache: (cache.full(3), build_complex(5, max_codim=1)),
+     "the second factor of the divisor [1, 2] must be a full projective complex; "
+     "it has grades only up to codim 1 of 2"),
+    # a divisor subcomplex of the 5-gon complex has the size of the
+    # complement factor, but its top cells sit at codimension 1
+    ({1, 2}, lambda cache: (cache.full(3), divisor_subcomplex(cache.full(5), {1, 2})),
+     "the second factor of the divisor [1, 2] must be a full projective complex; "
+     "it has codim_offset 1"),
+))
+def test_divisor_factorization_names_a_factor_of_the_wrong_kind(subset, factors, message, cache):
+    with pytest.raises(MismatchedPolygons, match=f"^{re.escape(message)}$"):
+        verify_divisor_factorization(cache.full(6), subset, factors(cache))
 
 
 @pytest.mark.parametrize("subset, moved, counted", (

@@ -1,5 +1,7 @@
 """Gluing labeled polygons and the operad axiom sweeps."""
 
+import random
+
 import pytest
 
 from mosaic.errors import (
@@ -17,7 +19,7 @@ from mosaic.operad import (
     relabel,
     sweep_full_compositions,
 )
-from mosaic.polygon import Dissection, dihedral_canonical
+from mosaic.polygon import Dissection, diagonals_cross, dihedral_canonical, polygon_diagonals
 
 
 def test_glue_two_triangles():
@@ -140,6 +142,46 @@ def test_sequential_composition_is_associative_by_hand():
     one = compose_single(g, 2, compose_single(h, 6, k, 9), 5)
     two = compose_single(compose_single(g, 2, h, 5), 6, k, 9)
     assert dihedral_canonical(one) == dihedral_canonical(two)
+
+
+def _random_dissection(rng, labels):
+    # a random non-crossing diagonal set, grown in a random order
+    n, chosen, diagonals = len(labels), [], polygon_diagonals(len(labels))
+    wanted = rng.randint(0, n - 3)
+    for d in rng.sample(diagonals, len(diagonals)):
+        if len(chosen) < wanted and not any(diagonals_cross(d, e, n) for e in chosen):
+            chosen.append(d)
+    return Dissection(labels, frozenset(chosen))
+
+
+def _rotations(diss):
+    n = diss.n
+    return [Dissection(diss.labels[t:] + diss.labels[:t],
+                       frozenset(((u - t) % n, (v - t) % n) for u, v in diss.diagonals))
+            for t in range(n)]
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_splitting_a_composite_along_its_seam_gives_back_both_operands(seed):
+    # the seam (0, n1-1) cuts compose_single(g, a, h, b) into g's half,
+    # vertices 0..n1-1, and h's, vertices n1-1..n-1 and 0; with the seam
+    # labeled a and b, each half is its operand up to rotation
+    rng = random.Random(seed)
+    for _ in range(100):
+        n1, n2 = rng.randint(3, 9), rng.randint(3, 9)
+        g = _random_dissection(rng, tuple(rng.sample(range(100), n1)))
+        h = _random_dissection(rng, tuple(rng.sample(range(100, 200), n2)))
+        a, b = rng.choice(g.labels), rng.choice(h.labels)
+        glued = compose_single(g, a, h, b)
+        n, seam = glued.n, (0, n1 - 1)
+        part, rest = glued.split_labels(seam)
+        inner = glued.diagonals - {seam}
+        g_half = Dissection(part + (a,), frozenset(d for d in inner if d[1] < n1))
+        vertex = {v: v - n1 + 1 for v in range(n1 - 1, n)} | {0: n2 - 1}
+        h_half = Dissection(rest + (b,), frozenset(
+            (vertex[u], vertex[v]) for u, v in inner if u in vertex and v in vertex))
+        assert g_half in _rotations(g), (g, a, h, b)
+        assert h_half in _rotations(h), (g, a, h, b)
 
 
 def test_axiom_sweep_passes():

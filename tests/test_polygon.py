@@ -151,9 +151,9 @@ def test_dissection_rejects_crossing_diagonals():
 
 
 def _validated_diagonals(labels, diagonals):
-    # every diagonal through normalize_diagonal, then the same checks in
-    # the same order as Dissection: the constructor before it took
-    # normalized pairs as they are
+    # the constructor's checks written out: every diagonal through
+    # normalize_diagonal, duplicates dropped, then the count and the
+    # crossings, in that order
     n = len(labels)
     diags = sorted(set(normalize_diagonal(d, n) for d in diagonals))
     if len(diags) > n - 3:
@@ -193,9 +193,9 @@ def _outcome(build, *args):
     [],
 ])
 def test_normalized_pairs_are_taken_as_the_full_checks_would(diagonals):
-    # the constructor skips normalize_diagonal for plain int pairs that
-    # are already normalized; it must accept and reject exactly what
-    # normalizing every pair does, with the same exception and message
+    # a caller's pairs, normalized or not, all go through the checks:
+    # the constructor must accept and reject exactly what the written-out
+    # checks do, with the same exception and message
     labels = tuple(range(1, 7))
     got = _outcome(lambda: Dissection(labels, diagonals).diagonals)
     assert got == _outcome(_validated_diagonals, labels, diagonals)
