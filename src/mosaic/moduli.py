@@ -232,7 +232,10 @@ class _Level:
 
     Row i of parents lists, in increasing order, the 2(k - codim_offset)
     distinct cells of grade k-1 on which cell start + i lies; each of
-    these incidences has multiplicity 2^(k-1).
+    these incidences has multiplicity 2^(k-1).  parents is int32, as
+    every cell index fits below 2^31.  build_complex reads the rows off
+    its one sort of the grade's codes: the parents of the pairs with
+    equal codes, 2k in a run, each row sorted.
     """
 
     __slots__ = ("start", "parents")
@@ -312,16 +315,23 @@ def _least(rows, ids, tree, block_id):
     return rows, ids
 
 
+@lru_cache(maxsize=None)
 def _label_weights(n):
     # a cell's code: the base-(n+1) value of its labels times the number
-    # of diagonal sets, plus the index of its set; it sorts as cells do
-    return (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # of diagonal sets, plus the index of its set; it sorts as cells do.
+    # Cached for every _unpack, so the one array is read-only
+    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    weights.flags.writeable = False
+    return weights
 
 
 def _unpack(codes, n, set_count):
-    """The int8 label rows and the set indices of the cells with these codes."""
+    """The int8 label rows and the int32 set indices of the cells with these codes."""
     labels, sets = np.divmod(codes, set_count)
-    return (labels[:, None] // _label_weights(n) % (n + 1)).astype(np.int8), sets
+    rows, step = np.empty((len(codes), n), dtype=np.int8), 1 << 14
+    for lo in range(0, len(codes), step):          # a chunk's digits: n int64s a code
+        rows[lo:lo + step] = labels[lo:lo + step, None] // _label_weights(n) % (n + 1)
+    return rows, sets.astype(np.int32)
 
 
 class _Cells(Sequence):
@@ -518,40 +528,40 @@ def _grow(grade, prev, rows, sets, weights, block_id):
     rows and sets give those cells' labels and set indices in cell order.
     With no prev the rows' sets are the grade's own and none is added
     (grade 0: every labeling with the empty set).  Returns each result's
-    code as a least member and the row it grew from.
+    code as a least member and, as int32, the row it grew from.
     """
     # each set grows from the sets with one diagonal fewer
     below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
         grade.masks[:, None] - (np.int64(1) << grade.ids))
-    by_set = np.argsort(sets, kind="stable")
+    by_set = np.argsort(sets, kind="stable").astype(np.int32)
     bounds = np.searchsorted(sets, np.arange(below.max() + 2), sorter=by_set)
-    codes, parents = [], []
-    for t, tree in enumerate(grade.trees):
-        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]])
+    ends = np.cumsum(np.diff(bounds)[below].sum(axis=1))
+    codes, parents = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int32)
+    for t, (tree, lo, hi) in enumerate(zip(grade.trees, np.r_[0, ends[:-1]], ends)):
+        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]],
+                                 out=parents[lo:hi])
         ids = np.repeat(grade.ids[t:t + 1], len(members), axis=0)
         least, ids = _least(rows[members], ids, tree, block_id)
-        codes.append((least @ weights) * len(grade.sets)
-                     + grade.set_index((np.int64(1) << ids).sum(axis=1)))
-        parents.append(members)
-    return np.concatenate(codes), np.concatenate(parents)
+        codes[lo:hi] = (least @ weights) * len(grade.sets) \
+            + grade.set_index((np.int64(1) << ids).sum(axis=1))
+    return codes, parents
 
 
-def _parent_table(k, start, child, parents):
+def _parent_table(k, start, firsts, parents):
     """The parents of each cell of grade k as one sorted row of 2k per cell.
 
-    child and parents give each (parent, added diagonal) pair's cell
-    (counted from start) and parent.  InvariantViolation is raised
-    unless every cell is reached by 2k pairs with distinct parents.
+    parents holds the parent of each (parent, added diagonal) pair, the
+    pairs in the order of their sorted codes, and firsts the place of
+    each cell's first pair.  InvariantViolation is raised unless every
+    cell, counted from start, is reached by 2k pairs with distinct parents.
     """
-    hits = np.bincount(child)
+    hits = np.diff(firsts, append=len(parents))
     bad = np.flatnonzero(hits != 2 * k)
     if len(bad):
         raise InvariantViolation(
             f"grade {k}: cell {start + bad[0]} is reached by "
             f"{hits[bad[0]]} (parent, diagonal) pairs, not {2 * k}")
-    # one sort orders the pairs by cell and each cell's parents
-    width = int(parents.max()) + 1
-    table = (np.sort(child * width + parents) % width).reshape(-1, 2 * k)
+    table = np.sort(parents.reshape(-1, 2 * k), axis=1)
     repeats = table[:, 1:] == table[:, :-1]
     bad = np.flatnonzero(repeats.any(axis=1))
     if len(bad):
@@ -559,7 +569,7 @@ def _parent_table(k, start, child, parents):
         raise InvariantViolation(
             f"grade {k}: cell {start + bad[0]} is reached more than once "
             f"from cell {row[1:][repeats[bad[0]]][0]}")
-    return table.astype(np.int32)
+    return table
 
 
 def build_complex(n, mode=PROJECTIVE, max_codim=None):
@@ -567,14 +577,18 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     Each grade grows from the one above: grade 0 from every labeling,
     grade k by adding each compatible diagonal to each cell of grade
-    k-1.  The sorted distinct codes of the results' least members are
-    the grade's cells, which is all the complex stores of them, and the
-    parents of the pairs reaching a cell are its row of the grade's
-    parent table; each incidence has multiplicity 2^(k-1).
-    InvariantViolation is raised unless a grade holds as many cells as
-    closed_form_f_vector says and each cell below the tiles is reached
-    by 2k pairs, two per diagonal, from 2k distinct parents.  max_codim
-    truncates the build below that grade.
+    k-1.  Each (parent, diagonal) pair gives the int64 code of its
+    result's least member and its parent's int32 index.  One argsort of
+    the codes then gives the whole grade: the first code of each run of
+    equal codes is a cell, so the cells come out sorted, and they are
+    all the complex stores of the grade; a run's length is the number
+    of pairs reaching its cell; and the parents in sorted order, 2k to a
+    run and each row sorted, are the grade's parent table.  Each
+    incidence has multiplicity 2^(k-1).  InvariantViolation is raised
+    unless a grade holds as many cells as closed_form_f_vector says
+    and, checked next, each cell below the tiles is reached by 2k pairs,
+    two per diagonal, from 2k distinct parents.  max_codim truncates the
+    build below that grade.
 
     n = 3 is allowed and yields the one-point complex; it turns up as a
     factor of divisor subcomplexes.
@@ -593,18 +607,27 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     codes, levels, start = {}, {}, 0
     rows = np.array(_labelings(n, mode), dtype=np.int8)
-    sets, prev = np.zeros(len(rows), dtype=np.int64), None
+    sets, prev = np.zeros(len(rows), dtype=np.int32), None
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
         grown, parents = _grow(grade, prev, rows, sets, weights, block_id)
-        codes[k], child = np.unique(grown, return_inverse=True)
+        del rows, sets
+        # one sort gives the cells, the first code of each run of equal
+        # codes; the runs' lengths; and, in the same order, their parents
+        # (need not be stable: each row of parents is sorted)
+        order = np.argsort(grown)
+        grown = grown[order]
+        first = np.r_[True, grown[1:] != grown[:-1]]
+        codes[k], parents = grown[first], parents[order]
+        del grown, order
         if len(codes[k]) != expected[k]:
             raise InvariantViolation(
                 f"grade {k}: {len(codes[k])} cells, the closed form has {expected[k]}")
         if k:
             above, start = start, start + len(codes[k - 1])
-            levels[k] = _Level(start, _parent_table(k, start, child, parents + above))
-        del grown, parents, child          # not held while the next grade grows
+            parents += above
+            levels[k] = _Level(start, _parent_table(k, start, np.flatnonzero(first), parents))
+        del parents, first                 # not held while the next grade grows
         (rows, sets), prev = _unpack(codes[k], n, len(grade.sets)), grade
 
     return ModuliComplex(n=n, mode=mode, codes=codes, levels=levels)

@@ -66,8 +66,7 @@ def compose_single(g, a, h, b):
     if clash:
         raise LabelCollision(f"labels on both polygons: {sorted(map(repr, clash))}")
 
-    labels = tuple(g.labels[(p + 1 + t) % n1] for t in range(n1 - 1)) \
-        + tuple(h.labels[(q + 1 + t) % n2] for t in range(n2 - 1))
+    labels = g.labels[p + 1:] + g.labels[:p] + h.labels[q + 1:] + h.labels[:q]
     diagonals = ((0, n1 - 1),) + _map_diagonals(g.diagonals, lambda v: v - p - 1, n1) \
         + _map_diagonals(h.diagonals, lambda v: n1 - 1 + (v - q - 1) % n2, total)
     result = Dissection._made(labels, frozenset(diagonals))

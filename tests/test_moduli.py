@@ -1,6 +1,7 @@
 """Twists, cell complexes, divisors, coverings, surfaces."""
 
 import re
+import tracemalloc
 from functools import partial
 from itertools import combinations
 from math import comb, factorial
@@ -390,6 +391,24 @@ def test_truncated_build_stops_at_the_requested_grade():
     assert all(d == 9 for d in graph.degrees().values())
     for cell in shallow.cells_at(1):
         assert shallow.coboundary_counts(cell) == {0: 1, 1: 2}
+
+
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+def test_build_peaks_within_a_small_multiple_of_what_it_keeps(mode):
+    # a grade is deduplicated by one sort of its int64 codes, with int32
+    # parents, so the traced peak stays under 3.5 times the bytes of the
+    # codes and parent tables the complex keeps
+    build_complex(7, mode)                  # warm the diagonal-set and tree caches
+    tracemalloc.start()
+    try:
+        complex_ = build_complex(7, mode)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {level.parents.dtype for level in complex_.levels.values()} == {np.dtype(np.int32)}
+    kept = sum(codes.nbytes for codes in complex_._codes.values()) \
+        + sum(level.parents.nbytes for level in complex_.levels.values())
+    assert peak < 3.5 * kept, f"peak {peak} bytes, {kept} bytes kept"
 
 
 # ---------------------------------------------------------------------------
