@@ -224,15 +224,15 @@ def _c09_associahedron(cache, n_max):
         for k in range(n - 2):
             if len(lattice.faces_at(k)) != cayley_count(n, k):
                 return False, f"n={n}: grade {k} count off", False
-        for face in lattice.all_faces():
-            sizes = associahedron.face_factorization(face)
-            k = face.codim
-            if sum(sizes) != n + 2 * k or sum(s - 3 for s in sizes) != (n - 3) - k:
-                return False, f"n={n}: factorization {sizes} of codim {k} face", False
-            faces += 1
+            # every part a polygon, with n + 2k sides in all
+            sizes = associahedron.face_factorizations(n, k)
+            bad = (sizes < 3).any(axis=1) | (sizes.sum(axis=1) != n + 2 * k)
+            if bad.any():
+                row = tuple(sizes[bad.argmax()].tolist())
+                return False, f"n={n}: factorization {row} of codim {k} face", False
+            faces += len(sizes)
     for n, want in ((6, {(4, 4): 3, (3, 5): 6}), (7, {(4, 5): 7, (3, 6): 7})):
-        lattice = associahedron.face_lattice(n)
-        kinds = Counter(associahedron.face_factorization(f) for f in lattice.facets())
+        kinds = Counter(map(tuple, associahedron.face_factorizations(n, 1).tolist()))
         if dict(kinds) != want:
             return False, f"n={n} facet kinds {dict(kinds)}, expected {want}", False
     return True, f"grades and factorization identities on {faces} faces, n <= 10", False

@@ -10,11 +10,12 @@ lives in the cell-complex modules.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import RangeError
 from .polygon import (
     Dissection,
-    _block,
-    _rooted_tree,
+    _node_degrees,
     enumerate_diagonal_sets,
     polygon_diagonals,
     superimpose,
@@ -51,14 +52,13 @@ class Face:
 class FaceLattice:
     """Faces graded by codimension with the grade-adjacent covering relation.
 
-    Only covering pairs are stored; the general order F <= G is the
-    subset test diagonals(F) >= diagonals(G).
+    Covering pairs are worked out when asked for; the general order
+    F <= G is the subset test diagonals(F) >= diagonals(G).
     """
 
-    def __init__(self, n, grades, up):
+    def __init__(self, n, grades):
         self.n = n
         self.grades = grades
-        self._up = up
 
     def faces_at(self, codim):
         if codim not in self.grades:
@@ -85,7 +85,8 @@ class FaceLattice:
 
     def covering_faces(self, face):
         """Faces one grade up (one diagonal fewer) containing `face`."""
-        return self._up[face]
+        ds = face.diagonals
+        return tuple(Face(self.n, ds[:t] + ds[t + 1:]) for t in range(len(ds)))
 
     def f_vector(self):
         return tuple(len(self.grades[k]) for k in sorted(self.grades))
@@ -99,25 +100,19 @@ def face_lattice(n):
     """
     if not 4 <= n <= 10:
         raise RangeError(f"face lattice supports 4 <= n <= 10, got {n}")
-    grades = {}
-    index = {}
-    for k in range(n - 2):
-        faces = tuple(Face(n, ds) for ds in enumerate_diagonal_sets(n, k))
-        grades[k] = faces
-        for f in faces:
-            index[f.diagonals] = f
-    up = {}
-    for k in range(n - 2):
-        for face in grades[k]:
-            if k == 0:
-                up[face] = ()
-                continue
-            parents = []
-            for t in range(k):
-                rest = face.diagonals[:t] + face.diagonals[t + 1:]
-                parents.append(index[rest])
-            up[face] = tuple(parents)
-    return FaceLattice(n, grades, up)
+    grades = {k: tuple(Face(n, ds) for ds in enumerate_diagonal_sets(n, k))
+              for k in range(n - 2)}
+    return FaceLattice(n, grades)
+
+
+def face_factorizations(n, k):
+    """`face_factorization` of every codim-k face, one grade at a time.
+
+    One row per face, in `enumerate_diagonal_sets(n, k)` order; the sets
+    enumerated there are valid, so no dissection is built.
+    """
+    sets = enumerate_diagonal_sets(n, k)
+    return _node_degrees(np.array(sets, dtype=np.int16).reshape(len(sets), k, 2), n)
 
 
 def face_factorization(face):
@@ -125,15 +120,15 @@ def face_factorization(face):
 
     A face with k diagonals is a product of k+1 smaller associahedra,
     one per node of its dual tree.  The sizes n_i are the sorted node
-    degrees, read off the blocks the diagonals cut off away from side 0
-    (`polygon._rooted_tree`); face.dissection is built first because it
-    is the validity check, rejecting crossing, adjacent, out-of-range
-    and too many diagonals and removing duplicates.  The sizes satisfy
-    sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
+    degrees, read off the nesting of the blocks the diagonals cut off
+    away from side 0 (`polygon._node_degrees`); face.dissection is built
+    first because it is the validity check, rejecting crossing, adjacent,
+    out-of-range and too many diagonals and removing duplicates.  The
+    sizes satisfy sum(n_i) = n + 2k and sum(n_i - 3) = (n-3) - k.
     """
     diss = face.dissection
-    blocks = [_block(d, diss.n, 0) for d in diss.diagonals]
-    return tuple(sorted(node.degree for node in _rooted_tree(blocks, diss.n, 0)))
+    rows = np.array(list(diss.diagonals), dtype=np.int16).reshape(1, -1, 2)
+    return tuple(_node_degrees(rows, diss.n)[0].tolist())
 
 
 @dataclass(frozen=True)

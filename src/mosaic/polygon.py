@@ -17,8 +17,9 @@ once by backtracking and once in closed form.
 A dissection and its dual tree are one object: rooted at a side, the
 diagonals cut off blocks of side positions that nest as the tree's nodes
 do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
-at side 0, `associahedron.face_factorization` reads their degrees, and
-the least-member rule of `moduli` turns their nodes.
+at side 0, `_node_degrees` reads their degrees a grade of faces at a time
+for `associahedron`, and the least-member rule of `moduli` turns their
+nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import NamedTuple
+
+import numpy as np
 
 from .errors import (
     AdjacentDiagonal,
@@ -267,13 +270,6 @@ class _Node(NamedTuple):
     children: list      # the blocks of its child nodes, in order
 
     @property
-    def degree(self):
-        """Its region's side count: its units, and the diagonal (or root
-        side) above it."""
-        a, b = self.block
-        return b - a + 1 - sum(y - x - 1 for x, y in self.children)
-
-    @property
     def last(self):
         """Where the last unit starts."""
         b = self.block[1]
@@ -315,6 +311,25 @@ def _rooted_tree(blocks, n, root):
     while stack:
         nodes.append(_Node(*stack.pop()))
     return nodes
+
+
+def _node_degrees(diagonals, n):
+    # (F, k, 2) sorted diagonals of F sets -> (F, k + 1) sorted node
+    # degrees of their trees rooted at side 0, without building a tree.
+    # Each diagonal's block is `_block(d, n, 0)`; a block's depth counts
+    # the blocks containing it, itself included, and its children are the
+    # blocks it contains one level deeper.  A node's degree is its span
+    # plus one, less (span - 1) per child; the root's is n, less that per
+    # top block.
+    i, j = diagonals[..., 0], diagonals[..., 1]
+    start, stop = np.where(i == 0, j, i), np.where(i == 0, n, j)
+    taken = stop - start - 1
+    inside = (start[:, :, None] <= start[:, None, :]) & (stop[:, None, :] <= stop[:, :, None])
+    depth = inside.sum(axis=1, dtype=np.int16)
+    child = inside & (depth[:, None, :] == depth[:, :, None] + 1)
+    degree = taken + 2 - (child * taken[:, None, :]).sum(axis=2, dtype=np.int16)
+    root = n - np.where(depth == 1, taken, 0).sum(axis=1, dtype=np.int16)
+    return np.sort(np.column_stack((root, degree)), axis=1)
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 from mosaic.associahedron import (
     Face,
     face_factorization,
+    face_factorizations,
     face_lattice,
     facet_si_graph,
     g_hat_strata,
@@ -49,15 +50,16 @@ def test_face_lattice_range_guard():
 
 
 def test_covering_faces_drop_one_diagonal():
-    lattice = face_lattice(6)
-    for face in lattice.all_faces():
-        parents = lattice.covering_faces(face)
-        assert len(parents) == face.codim
-        for parent in parents:
-            assert parent.codim == face.codim - 1
-            assert set(parent.diagonals) < set(face.diagonals)
-            assert lattice.leq(face, parent)
-    assert lattice.covering_faces(lattice.top) == ()
+    for n in range(4, 8):
+        lattice = face_lattice(n)
+        for face in lattice.all_faces():
+            parents = lattice.covering_faces(face)
+            assert len(parents) == face.codim
+            for parent in parents:
+                assert parent in lattice.faces_at(face.codim - 1)
+                assert set(parent.diagonals) < set(face.diagonals)
+                assert lattice.leq(face, parent)
+        assert lattice.covering_faces(lattice.top) == ()
 
 
 def test_order_relation_is_reverse_containment():
@@ -92,6 +94,16 @@ def test_factorization_side_counts(n):
 def test_factorization_reads_the_dual_tree_degrees(n):
     for face in face_lattice(n).all_faces():
         assert face_factorization(face) == tuple(sorted(dual_tree(face.dissection).degrees()))
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_grade_factorizations_read_the_dual_tree_degrees(n):
+    lattice = face_lattice(n)
+    for k in range(n - 2):
+        rows = face_factorizations(n, k)
+        assert rows.shape == (cayley_count(n, k), k + 1)
+        want = [sorted(dual_tree(face.dissection).degrees()) for face in lattice.faces_at(k)]
+        assert rows.tolist() == want
 
 
 @pytest.mark.parametrize("diagonals, error", [

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from mosaic import operad
 from mosaic.errors import (
     ArityMismatch,
     LabelCollision,
@@ -142,6 +143,7 @@ def test_sequential_composition_is_associative_by_hand():
     one = compose_single(g, 2, compose_single(h, 6, k, 9), 5)
     two = compose_single(compose_single(g, 2, h, 5), 6, k, 9)
     assert dihedral_canonical(one) == dihedral_canonical(two)
+    assert one in _rotations(two)
 
 
 def _random_dissection(rng, labels):
@@ -190,6 +192,25 @@ def test_axiom_sweep_passes():
     assert report.sequential_checked == 8226
     assert report.parallel_checked == 8226
     assert report.equivariance_checked == 20424
+
+
+def test_axiom_sweep_reports_a_composition_that_breaks_associativity(monkeypatch):
+    right = operad.compose_single
+
+    def forgetful(g, a, h, b):
+        # drops every diagonal when a triangle is glued in: with h and k
+        # both triangles, (g o_a h) o_c k has none, while g o_a (h o_c k)
+        # glues in a square and keeps that seam
+        out = right(g, a, h, b)
+        return Dissection(out.labels, frozenset()) if h.n == 3 else out
+
+    monkeypatch.setattr(operad, "compose_single", forgetful)
+    report = check_operad_axioms(6)
+    assert report.sequential_checked == report.parallel_checked > 0
+    assert report.failures
+    assert all("associativity broke" in failure for failure in report.failures)
+    assert any(failure.startswith("sequential") for failure in report.failures)
+    assert any(failure.startswith("parallel") for failure in report.failures)
 
 
 def test_axiom_sweep_range_guard():
