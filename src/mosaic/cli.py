@@ -196,14 +196,16 @@ def write_json(complex_):
 
 
 def render_dot(complex_):
-    graph = complex_.tile_adjacency()
+    """The tile graph: one node per tile, one edge per facet, between its two tiles."""
     name = f"tiles_n{complex_.n}_{complex_.mode.replace('-', '_')}"
     lines = [f"graph {name} {{"]
     for tile in complex_.tiles():
         label = " ".join(str(x) for x in tile.labels)
         lines.append(f'  t{tile.index} [label="{label}"];')
-    for u, v, facet in graph.edges:
-        lines.append(f"  t{u} -- t{v};  // facet {facet}")
+    facets = complex_.levels.get(complex_.codim_offset + 1)     # none at n = 3
+    if facets is not None:
+        for facet, (u, v) in enumerate(facets.parents.tolist(), facets.start):
+            lines.append(f"  t{u} -- t{v};  // facet {facet}")
     lines.append("}")
     return "\n".join(lines)
 

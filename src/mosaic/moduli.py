@@ -47,7 +47,6 @@ factorization check, which look up all their cells at once with `_least`
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
@@ -486,39 +485,6 @@ class ModuliComplex:
             level = self.levels[k - t + 1]
             frontier = set(level.parents[[f - level.start for f in frontier]].ravel().tolist())
             out[t] = len(frontier)
-        return out
-
-    def tile_adjacency(self):
-        """Dual graph of the tiling: tiles as nodes, one edge per shared facet."""
-        mid = self.codim_offset + 1
-        if mid not in self.grade_range:
-            raise RangeError("complex too shallow for a tile adjacency graph")
-        level = self.levels[mid]
-        edges = tuple((u, v, facet)
-                      for facet, (u, v) in enumerate(level.parents.tolist(), level.start))
-        tiles = tuple(range(*self.grade_range[self.codim_offset]))
-        return TileAdjacency(tiles=tiles, edges=edges)
-
-
-@dataclass(frozen=True)
-class TileAdjacency:
-    """Tiles as vertices; one edge per shared facet, between two tiles."""
-
-    tiles: tuple
-    edges: tuple                 # (tile, tile, facet cell index)
-
-    def degrees(self):
-        deg = Counter()
-        for u, v, _ in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return {t: deg[t] for t in self.tiles}
-
-    def neighbors(self):
-        out = {t: [] for t in self.tiles}
-        for u, v, _ in self.edges:
-            out[u].append(v)
-            out[v].append(u)
         return out
 
 
@@ -1074,13 +1040,16 @@ class SurfaceReport:
     vertices: int
 
 
-def _tile_boundaries(complex_):
-    """Walk once around each tile's boundary through the parent tables.
+def _flags(complex_):
+    """The flags of a 2-dimensional complex, read off its parent tables.
 
-    An edge's endpoints are the two vertices whose rows hold it, and a
-    vertex on a tile meets two of the tile's edges.  Returns each tile's
-    walk as (edge, from vertex, to vertex) triples; NotASurface names the
-    edge or the tile where the tables break either rule.
+    A flag is a (tile, edge, vertex) row: the edge sits in the vertex's
+    row and the tile in the edge's.  Flag 4e + 2i + j is edge e at its
+    vertex i on its tile j, so a flag's mate across its edge is f ^ 1 and
+    its mate at the other vertex of its tile and edge f ^ 2.  Returns the
+    rows and each flag's mate at the other edge of its tile and vertex.
+    NotASurface names the edge that does not have two vertices, or the
+    tile with a vertex that does not meet two of its edges.
     """
     offset = complex_.codim_offset
     edges, vertices = complex_.levels[offset + 1], complex_.levels[offset + 2]
@@ -1090,42 +1059,53 @@ def _tile_boundaries(complex_):
     if len(bad):
         raise NotASurface(f"edge cell {edges.start + bad[0]} has {count[bad[0]]} "
                           f"endpoint vertices, not 2")
-    # entry i of the flattened rows belongs to vertex row i // width
+    # entry i of the flattened vertex rows belongs to vertex row i // width
     ends = np.argsort(held, kind="stable") // vertices.parents.shape[1] + vertices.start
-    ends = ends.reshape(-1, 2).tolist()
-    rows = vertices.parents.tolist()
+    tile = np.tile(edges.parents, 2).ravel()
+    vertex = np.repeat(ends, 2)
+    # the flags of a tile and vertex pair off, one on each edge
+    corners, meets = np.unique(np.stack([tile, vertex], axis=1), axis=0, return_counts=True)
+    bad = np.flatnonzero(meets != 2)
+    if len(bad):
+        (t, v), meet = corners[bad[0]], meets[bad[0]]
+        raise NotASurface(f"tile {t}: vertex cell {v} meets {meet} of its edges, not 2")
+    by_corner = np.lexsort((vertex, tile))
+    other_edge = np.empty_like(by_corner)
+    other_edge[by_corner] = by_corner.reshape(-1, 2)[:, ::-1].ravel()
+    return np.stack([tile, np.arange(len(tile)) // 4 + edges.start, vertex], axis=1), other_edge
 
-    # cells are numbered from the tiles on, so a tile's index is its rank
-    sides = [[] for _ in range(len(complex_.tiles()))]
-    for e, row in enumerate(edges.parents.tolist(), edges.start):
-        for tile in row:
-            sides[tile].append(e)
-    walks = []
-    for tile, side in enumerate(sides):
-        on_tile = set(side)
-        e, v, walk = side[0], ends[side[0] - edges.start][0], []
-        for _ in side:
-            x, y = ends[e - edges.start]
-            u, v = v, y if x == v else x
-            walk.append((e, u, v))
-            at = [f for f in rows[v - vertices.start] if f in on_tile]
-            if len(at) != 2:
-                raise NotASurface(f"tile {tile}: vertex cell {v} meets {len(at)} "
-                                  f"of its edges, not 2")
-            e = at[1] if at[0] == e else at[0]
-        if len({edge for edge, _, _ in walk}) != len(side):
-            raise NotASurface(f"tile {tile}: boundary is not a single cycle")
-        walks.append(walk)
-    return walks
+
+def _flag_components(mates):
+    """The least flag of each component under the mates, and whether they 2-colour.
+
+    One pass hands each flag's mates the other colour; the colouring is
+    consistent when no flag is handed both colours.
+    """
+    mates = [mate.tolist() for mate in mates]
+    colour, roots, consistent = [-1] * len(mates[0]), [], True
+    for root in range(len(colour)):
+        if colour[root] < 0:
+            roots.append(root)
+            stack = [(root, 0)]
+            while stack:
+                f, c = stack.pop()
+                if colour[f] < 0:
+                    colour[f] = c
+                    stack += [(mate[f], 1 - c) for mate in mates]
+                elif colour[f] != c:
+                    consistent = False
+    return roots, consistent
 
 
 def classify_surface(complex_):
     """Identify a closed surface from its tiling.
 
-    Requires a 2-dimensional complex built to full depth.  Orientability
-    is decided by 2-coloring tiles so that every shared edge is traversed
-    in opposite directions by the boundary walks read off the parent
-    tables; the name then follows from the Euler characteristic.
+    Requires a 2-dimensional complex built to full depth.  The flags read
+    off its parent tables (_flags) must form one cycle per tile under the
+    two mates that keep the tile, and one component under all three; the
+    surface is orientable exactly when they 2-colour the flags, every
+    mate taking the other colour.  The name follows from the Euler
+    characteristic.
     """
     if complex_.dimension != 2:
         raise NotASurface(f"complex has dimension {complex_.dimension}, need 2")
@@ -1134,7 +1114,16 @@ def classify_surface(complex_):
     n_tiles, n_edges, n_vertices = complex_.f_vector()
     euler = n_tiles - n_edges + n_vertices
 
-    orientable = _propagate_orientation(_tile_boundaries(complex_))
+    flags, other_edge = _flags(complex_)
+    every = np.arange(len(flags))
+    # cells are numbered from the tiles on, so a tile's index is its rank
+    starts, _ = _flag_components((every ^ 2, other_edge))
+    bad = np.flatnonzero(np.bincount(flags[starts, 0], minlength=n_tiles) != 1)
+    if len(bad):
+        raise NotASurface(f"tile {bad[0]}: boundary is not a single cycle")
+    roots, orientable = _flag_components((every ^ 1, every ^ 2, other_edge))
+    if len(roots) > 1:
+        raise NotASurface("complex is not connected")
 
     if orientable:
         if euler % 2:
@@ -1153,36 +1142,3 @@ def classify_surface(complex_):
     return SurfaceReport(euler=euler, orientable=orientable,
                          identified_surface=name, tiles=n_tiles,
                          edges=n_edges, vertices=n_vertices)
-
-
-def _propagate_orientation(walks):
-    # tiles traversing a shared edge in the same direction must take
-    # opposite orientations, in reversed directions the same; each edge
-    # is walked by the two tiles of its row
-    constraints, first = [[] for _ in walks], {}
-    for t, walk in enumerate(walks):
-        for edge, u, _ in walk:
-            if edge not in first:
-                first[edge] = t, u
-                continue
-            other, start = first[edge]
-            sign = -1 if start == u else 1
-            constraints[t].append((other, sign))
-            constraints[other].append((t, sign))
-
-    orientation = [0] * len(walks)
-    orientation[0] = 1
-    queue = [0]
-    consistent = True
-    while queue:
-        t = queue.pop()
-        for other, sign in constraints[t]:
-            want = orientation[t] * sign
-            if orientation[other] == 0:
-                orientation[other] = want
-                queue.append(other)
-            elif orientation[other] != want:
-                consistent = False
-    if 0 in orientation:
-        raise NotASurface("complex is not connected")
-    return consistent

@@ -2,8 +2,9 @@
 
 Generators are the diagonals of the reference n-gon.  Each diagonal
 cuts off a run of sides away from the marked side n, its free part, and
-acts on labels by reversing that run.  Three relation families arise
-from walking around codim-2 cells of the tiling:
+acts on labels by reversing that run.  relations(n) reads no cell
+complex: it superimposes pairs of diagonals on the reference polygon,
+and lists three relation families:
 
   involution   s s = 1 for every generator,
   commuting    s_a s_b = s_b s_a whenever the superimposed pair is

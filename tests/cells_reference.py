@@ -7,6 +7,8 @@
 the incidence read row by row from the parent tables.
 """
 
+from itertools import combinations
+
 from mosaic.moduli import Cell
 
 
@@ -50,15 +52,21 @@ def reference_payload(complex_):
 
 
 def reference_dot(complex_):
-    """The text that `mosaic complex --dot` prints, tiles looked up by index."""
-    graph = complex_.tile_adjacency()
+    """The text that `mosaic complex --dot` prints, tiles looked up by index.
+
+    A facet joins every two tiles of its row in the parent table of the
+    grade below the tiles; a complex without that grade (n = 3) has no
+    edges.
+    """
     name = f"tiles_n{complex_.n}_{complex_.mode.replace('-', '_')}"
     lines = [f"graph {name} {{"]
-    by_index = {gid: reference_cell(complex_, gid) for gid in graph.tiles}
-    for gid in graph.tiles:
-        label = " ".join(str(x) for x in by_index[gid].labels)
+    for gid in range(*complex_.grade_range[complex_.codim_offset]):
+        label = " ".join(str(x) for x in reference_cell(complex_, gid).labels)
         lines.append(f'  t{gid} [label="{label}"];')
-    for u, v, facet in graph.edges:
-        lines.append(f"  t{u} -- t{v};  // facet {facet}")
+    if complex_.codim_offset + 1 in complex_.levels:
+        level = complex_.levels[complex_.codim_offset + 1]
+        for facet, parents in enumerate(level.parents.tolist(), level.start):
+            for u, v in combinations(parents, 2):
+                lines.append(f"  t{u} -- t{v};  // facet {facet}")
     lines.append("}")
     return "\n".join(lines)

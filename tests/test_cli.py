@@ -170,11 +170,27 @@ def test_complex_json_is_the_reference_payload(n, mode, cache):
 
 
 @pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
-@pytest.mark.parametrize("n", (4, 5))
+@pytest.mark.parametrize("n", (3, 4, 5))
 def test_complex_dot_is_the_reference_rendering(n, mode, cache):
     code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--dot")
     assert code == 0
     assert out == reference_dot(cache.full(n, mode)) + "\n"
+
+
+# sha256 of the stdout of `mosaic complex --n N --mode M --dot`, frozen
+COMPLEX_DOT_SHA256 = {
+    (6, "projective"): "6df2c6858e0984f9882df3207cae0bfe693f8bac8172bc1a0f756bcc84741c6b",
+    (6, "double-cover"): "a624fa05443a318e52838a225fc153675e9a51604063b814393b513d6ef9e5e2",
+    (7, "projective"): "6b09178f9c82b7e46d7b9d573899f1a8805fb70df38339c0b1e2726ceeca0639",
+    (7, "double-cover"): "7042151ef84ac8e146f957a5726cb0ca943fcd4f84de791cd36bfe66705fb0bb",
+}
+
+
+@pytest.mark.parametrize("n,mode", sorted(COMPLEX_DOT_SHA256))
+def test_complex_dot_bytes_are_frozen(n, mode):
+    code, out, _ = run_cli("complex", "--n", str(n), "--mode", mode, "--dot")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == COMPLEX_DOT_SHA256[n, mode]
 
 
 def test_complex_dot_output():

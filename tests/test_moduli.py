@@ -26,11 +26,13 @@ from mosaic.moduli import (
     DOUBLE_COVER,
     PROJECTIVE,
     Cell,
+    ModuliComplex,
+    _Level,
     _check_map,
+    _flags,
     _halves,
     _parent_rows,
     _row_indices,
-    _tile_boundaries,
     build_complex,
     cell_class,
     classify_surface,
@@ -258,23 +260,23 @@ def test_pc_codes_pair_each_child_with_a_parent_one_codim_up(cache):
     (6, PROJECTIVE),
 ])
 def test_tile_adjacency_is_regular(n, mode, cache):
-    graph = cache.full(n, mode).tile_adjacency()
+    # the tile graph is the grade-1 parent table: each facet's row holds
+    # two distinct tiles, and each tile lies on one facet per diagonal
+    complex_ = cache.full(n, mode)
+    tiles, facets = len(complex_.tiles()), complex_.levels[1].parents
     degree = n * (n - 3) // 2
-    assert all(d == degree for d in graph.degrees().values())
-    assert len(graph.edges) == len(graph.tiles) * degree // 2
-    neighbors = graph.neighbors()
-    for u, v, _ in graph.edges:
-        assert u in neighbors[v] and v in neighbors[u]
+    assert facets.shape == (tiles * degree // 2, 2)
+    assert (facets[:, 0] < facets[:, 1]).all() and facets.max() < tiles
+    assert (np.bincount(facets.ravel(), minlength=tiles) == degree).all()
 
 
 def test_small_tile_graphs_are_cycles(cache):
     # three mutually adjacent tiles upstairs of the square, a hexagon cycle
     # on the double cover
-    proj = cache.full(4).tile_adjacency()
-    assert sorted((u, v) for u, v, _ in proj.edges) == [(0, 1), (0, 2), (1, 2)]
-    cover = cache.full(4, DOUBLE_COVER).tile_adjacency()
-    assert sorted((u, v) for u, v, _ in cover.edges) == \
-        [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)]
+    proj = cache.full(4).levels[1].parents.tolist()
+    assert sorted(proj) == [[0, 1], [0, 2], [1, 2]]
+    cover = cache.full(4, DOUBLE_COVER).levels[1].parents.tolist()
+    assert sorted(cover) == [[0, 1], [0, 2], [1, 4], [2, 3], [3, 5], [4, 5]]
 
 
 def test_cell_lookup_round_trip(cache):
@@ -387,8 +389,7 @@ def test_truncated_build_stops_at_the_requested_grade():
     assert shallow.f_vector() == F_PROJECTIVE[6][:2]
     assert not shallow.is_full_depth()
     assert shallow.max_codim == 1
-    graph = shallow.tile_adjacency()
-    assert all(d == 9 for d in graph.degrees().values())
+    assert (np.bincount(shallow.levels[1].parents.ravel()) == 9).all()
     for cell in shallow.cells_at(1):
         assert shallow.coboundary_counts(cell) == {0: 1, 1: 2}
 
@@ -457,7 +458,6 @@ def test_divisor_coboundaries_follow_the_doubling_law(cache):
             k = cell.codim
             expected = {t: (2 ** t) * comb(k - 1, t) for t in range(k)}
             assert sub.coboundary_counts(cell) == expected, (sorted(subset), cell)
-        sub.tile_adjacency()
 
 
 def cut_arcs(cell, subset):
@@ -731,14 +731,22 @@ def test_pentagon_double_cover_surface(cache):
 
 
 def test_hexagon_divisors_are_surfaces(cache):
+    # D_S is the product of M0^{|S|+1} and M0^{7-|S|}: a point (m = 3) or a
+    # circle (m = 4), both orientable, times a circle or N_5 (m = 5), which
+    # is not; so each f-vector convolves the factors', the Euler
+    # characteristics multiply, and D_S is the torus when |S| = 3 and N_5
+    # otherwise
     complex_ = cache.full(6)
-    torus = classify_surface(divisor_subcomplex(complex_, {1, 2, 3}))
-    assert torus.euler == 0
-    assert torus.orientable
-    assert torus.identified_surface == "S_1 (torus)"
-    pentagonal = classify_surface(divisor_subcomplex(complex_, {1, 2}))
-    assert pentagonal.identified_surface == \
-        "N_5 (connected sum of 5 projective planes)"
+    euler = {3: 1, 4: euler_closed_form(4), 5: euler_closed_form(5)}
+    for subset in divisor_label_classes(6):
+        m1, m2 = len(subset) + 1, 7 - len(subset)
+        report = classify_surface(divisor_subcomplex(complex_, subset))
+        f = np.convolve(closed_form_f_vector(m1), closed_form_f_vector(m2)).tolist()
+        assert [report.tiles, report.edges, report.vertices] == f, subset
+        assert report.euler == euler[m1] * euler[m2], subset
+        assert report.orientable == (max(m1, m2) <= 4), subset
+        assert report.identified_surface == ("S_1 (torus)" if len(subset) == 3 else
+                                             "N_5 (connected sum of 5 projective planes)")
 
 
 def _surfaces(cache):
@@ -749,14 +757,20 @@ def _surfaces(cache):
 
 
 def test_tile_boundary_walks_match_the_compatible_diagonals(cache):
-    # a tile's boundary edges are its representative plus one compatible
-    # diagonal, their endpoints the same plus two, and the walk closes up
+    # a tile's flags lie on its edges, its representative plus one
+    # compatible diagonal, at their endpoints, the same plus two; the mates
+    # that keep the tile walk all its flags in one cycle
     for complex_ in _surfaces(cache):
         n = complex_.n
-        tiles = complex_.tiles()
-        walks = _tile_boundaries(complex_)
-        assert len(walks) == len(tiles)
-        for tile, walk in zip(tiles, walks):
+        flags, other_edge = _flags(complex_)
+        every = np.arange(len(flags))
+        other_vertex = every ^ 2
+        # each mate changes its column of the row and keeps the other two
+        for mate, moved in ((every ^ 1, 0), (other_vertex, 2), (other_edge, 1)):
+            assert (mate[mate] == every).all()
+            for column in range(3):
+                assert ((flags[mate, column] == flags[:, column]) == (column != moved)).all()
+        for tile in complex_.tiles():
             base = frozenset(tile.diagonals)
             extra = [d for d in polygon_diagonals(n) if d not in base
                      and not any(diagonals_cross(d, e, n) for e in base)]
@@ -765,10 +779,16 @@ def test_tile_boundary_walks_match_the_compatible_diagonals(cache):
                 corners = {complex_.cell_for(Dissection(tile.labels, base | {d, e})).index
                            for e in extra if e != d and not diagonals_cross(d, e, n)}
                 want[complex_.cell_for(Dissection(tile.labels, base | {d})).index] = corners
-            assert {edge: {u, v} for edge, u, v in walk} == want, tile
-            assert len(walk) == len(extra)
-            for (_, _, v), (_, u, _) in zip(walk, walk[1:] + walk[:1]):
-                assert u == v, walk
+            mine = np.flatnonzero(flags[:, 0] == tile.index)
+            ends = {}
+            for _, edge, vertex in flags[mine].tolist():
+                ends.setdefault(edge, set()).add(vertex)
+            assert ends == want, tile
+            f, walk = mine[0], []
+            for _ in extra:
+                walk += [f, other_vertex[f]]
+                f = other_edge[other_vertex[f]]
+            assert f == mine[0] and sorted(walk) == mine.tolist(), tile
 
 
 def test_classify_surface_names_an_edge_with_one_endpoint():
@@ -781,6 +801,32 @@ def test_classify_surface_names_an_edge_with_one_endpoint():
     with pytest.raises(NotASurface,
                        match=rf"^edge cell {lost} has 1 endpoint vertices, not 2$"):
         classify_surface(complex_)
+
+
+def test_classify_surface_names_a_vertex_off_its_tile():
+    # one facet moved onto a tile it does not bound: at the facet's ends
+    # that tile meets one edge, or three
+    complex_ = build_complex(5)
+    row = complex_.levels[1].parents[0]
+    row[1] = next(t for t in range(*complex_.grade_range[0]) if t not in row)
+    row.sort()
+    with pytest.raises(NotASurface,
+                       match=r"^tile \d+: vertex cell \d+ meets \d+ of its edges, not 2$"):
+        classify_surface(complex_)
+
+
+def test_classify_surface_needs_one_component():
+    # the n = 5 tables side by side, the second copy numbered after the first
+    complex_ = build_complex(5)
+    tiles, edges = complex_.f_vector()[:2]
+    facets, corners = complex_.levels[1].parents, complex_.levels[2].parents
+    codes = {k: np.tile(grade, 2) for k, grade in complex_._codes.items()}
+    twice = ModuliComplex(5, PROJECTIVE, codes, {
+        1: _Level(2 * tiles, np.vstack([facets, facets + tiles])),
+        2: _Level(2 * (tiles + edges), np.vstack([corners + tiles, corners + tiles + edges]))})
+    assert twice.f_vector() == (24, 60, 30)
+    with pytest.raises(NotASurface, match=r"^complex is not connected$"):
+        classify_surface(twice)
 
 
 def test_classify_surface_needs_dimension_two(cache):
