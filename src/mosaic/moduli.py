@@ -233,8 +233,9 @@ class _Level:
     distinct cells of grade k-1 on which cell start + i lies; each of
     these incidences has multiplicity 2^(k-1).  parents is int32, as
     every cell index fits below 2^31.  build_complex reads the rows off
-    its one sort of the grade's codes: the parents of the pairs with
-    equal codes, 2k in a run, each row sorted.
+    its one sort of the grade's (code, parent) keys: the parents of the
+    pairs with equal codes, 2k in a run, which the sort leaves in
+    increasing order.
     """
 
     __slots__ = ("start", "parents")
@@ -488,38 +489,57 @@ class ModuliComplex:
         return out
 
 
+def _key_shift(k, n, sets, rows):
+    """The low bits that a (code, parent) key of grade k gives its parent.
+
+    A code of the grade is below (n+1)^n times its number of diagonal
+    sets, and a parent below rows; InvariantViolation is raised unless
+    both fit one int64 key, in at most 63 bits.
+    """
+    shift = rows.bit_length()
+    bits = ((n + 1) ** n * sets - 1).bit_length() + shift
+    if bits > 63:
+        raise InvariantViolation(f"grade {k}: a (code, parent) key needs {bits} bits, "
+                                 f"more than the 63 of an int64")
+    return shift
+
+
 def _grow(grade, prev, rows, sets, weights, block_id):
     """Add each diagonal of the grade's sets to the cells of grade prev.
 
     rows and sets give those cells' labels and set indices in cell order.
     With no prev the rows' sets are the grade's own and none is added
-    (grade 0: every labeling with the empty set).  Returns each result's
-    code as a least member and, as int32, the row it grew from.
+    (grade 0: every labeling with the empty set).  Returns one int64 key
+    per result, code << shift | parent: the code of its least member and
+    the row it grew from, in the low shift bits; and shift.
     """
+    shift = _key_shift(grade.ids.shape[1], rows.shape[1], len(grade.sets), len(rows))
     # each set grows from the sets with one diagonal fewer
     below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
         grade.masks[:, None] - (np.int64(1) << grade.ids))
     by_set = np.argsort(sets, kind="stable").astype(np.int32)
     bounds = np.searchsorted(sets, np.arange(below.max() + 2), sorter=by_set)
     ends = np.cumsum(np.diff(bounds)[below].sum(axis=1))
-    codes, parents = np.empty(ends[-1], dtype=np.int64), np.empty(ends[-1], dtype=np.int32)
+    keys = np.empty(ends[-1], dtype=np.int64)
     for t, (tree, lo, hi) in enumerate(zip(grade.trees, np.r_[0, ends[:-1]], ends)):
-        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]],
-                                 out=parents[lo:hi])
+        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]])
         ids = np.repeat(grade.ids[t:t + 1], len(members), axis=0)
         least, ids = _least(rows[members], ids, tree, block_id)
-        codes[lo:hi] = (least @ weights) * len(grade.sets) \
+        code = (least @ weights) * len(grade.sets) \
             + grade.set_index((np.int64(1) << ids).sum(axis=1))
-    return codes, parents
+        keys[lo:hi] = code << shift | members
+    return keys, shift
 
 
 def _parent_table(k, start, firsts, parents):
-    """The parents of each cell of grade k as one sorted row of 2k per cell.
+    """The parents of each cell of grade k as one increasing row of 2k per cell.
 
     parents holds the parent of each (parent, added diagonal) pair, the
-    pairs in the order of their sorted codes, and firsts the place of
-    each cell's first pair.  InvariantViolation is raised unless every
-    cell, counted from start, is reached by 2k pairs with distinct parents.
+    pairs in the order of their sorted keys, so by code and then by
+    parent, and firsts the place of each cell's first pair.
+    InvariantViolation is raised unless every cell, counted from start,
+    is reached by 2k pairs with distinct parents; as each row is sorted,
+    a repeat sits next to its twin.
     """
     hits = np.diff(firsts, append=len(parents))
     bad = np.flatnonzero(hits != 2 * k)
@@ -527,7 +547,7 @@ def _parent_table(k, start, firsts, parents):
         raise InvariantViolation(
             f"grade {k}: cell {start + bad[0]} is reached by "
             f"{hits[bad[0]]} (parent, diagonal) pairs, not {2 * k}")
-    table = np.sort(parents.reshape(-1, 2 * k), axis=1)
+    table = parents.reshape(-1, 2 * k)
     repeats = table[:, 1:] == table[:, :-1]
     bad = np.flatnonzero(repeats.any(axis=1))
     if len(bad):
@@ -543,18 +563,19 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     Each grade grows from the one above: grade 0 from every labeling,
     grade k by adding each compatible diagonal to each cell of grade
-    k-1.  Each (parent, diagonal) pair gives the int64 code of its
-    result's least member and its parent's int32 index.  One argsort of
-    the codes then gives the whole grade: the first code of each run of
-    equal codes is a cell, so the cells come out sorted, and they are
-    all the complex stores of the grade; a run's length is the number
-    of pairs reaching its cell; and the parents in sorted order, 2k to a
-    run and each row sorted, are the grade's parent table.  Each
-    incidence has multiplicity 2^(k-1).  InvariantViolation is raised
-    unless a grade holds as many cells as closed_form_f_vector says
-    and, checked next, each cell below the tiles is reached by 2k pairs,
-    two per diagonal, from 2k distinct parents.  max_codim truncates the
-    build below that grade.
+    k-1.  Each (parent, diagonal) pair gives one int64 key: the code of
+    its result's least member, shifted up, with its parent's index in
+    the low bits.  One in-place sort of the keys then gives the whole
+    grade: the first code of each run of equal codes is a cell, so the
+    cells come out sorted, and they are all the complex stores of the
+    grade; a run's length is the number of pairs reaching its cell; and
+    the parents in sorted order, 2k to a run and each row increasing,
+    are the grade's int32 parent table.  Each incidence has
+    multiplicity 2^(k-1).  InvariantViolation is raised unless a key
+    fits 63 bits, a grade holds as many cells as closed_form_f_vector
+    says and, checked next, each cell below the tiles is reached by 2k
+    pairs, two per diagonal, from 2k distinct parents.  max_codim
+    truncates the build below that grade.
 
     n = 3 is allowed and yields the one-point complex; it turns up as a
     factor of divisor subcomplexes.
@@ -576,16 +597,18 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
     sets, prev = np.zeros(len(rows), dtype=np.int32), None
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
-        grown, parents = _grow(grade, prev, rows, sets, weights, block_id)
+        keys, shift = _grow(grade, prev, rows, sets, weights, block_id)
         del rows, sets
         # one sort gives the cells, the first code of each run of equal
-        # codes; the runs' lengths; and, in the same order, their parents
-        # (need not be stable: each row of parents is sorted)
-        order = np.argsort(grown)
-        grown = grown[order]
-        first = np.r_[True, grown[1:] != grown[:-1]]
-        codes[k], parents = grown[first], parents[order]
-        del grown, order
+        # codes; the runs' lengths; and, in the same order, their parents,
+        # increasing within each run
+        keys.sort()
+        parents = np.empty(len(keys), dtype=np.int32)
+        np.bitwise_and(keys, (1 << shift) - 1, out=parents, casting="unsafe")
+        keys >>= shift
+        first = np.r_[True, keys[1:] != keys[:-1]]
+        codes[k] = keys[first]
+        del keys
         if len(codes[k]) != expected[k]:
             raise InvariantViolation(
                 f"grade {k}: {len(codes[k])} cells, the closed form has {expected[k]}")
@@ -627,9 +650,9 @@ def _row_indices(target, rows, counts, ends):
     for k, (start, end) in target.grade_range.items():
         grade = _Grade(n, PROJECTIVE, k, block_id)
         mine = np.flatnonzero(counts == k)
-        codes, order = _grow(grade, None, turned[mine], grade.set_index(masks[mine]),
-                             weights, block_id)
-        mine, own = mine[order], target._codes[k]
+        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]),
+                            weights, block_id)
+        codes, mine, own = keys >> shift, mine[keys & ((1 << shift) - 1)], target._codes[k]
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
         found[mine[hit]] = start + at[hit]

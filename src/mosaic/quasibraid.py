@@ -81,9 +81,6 @@ class Permutation:
             out[y - 1] = x
         return Permutation(tuple(out))
 
-    def is_identity(self):
-        return all(y == x for x, y in enumerate(self.images, start=1))
-
 
 def phi(g):
     """The image of a generator: reversal of its free-part run."""

@@ -102,16 +102,17 @@ def test_build_checks_that_each_cell_is_reached_by_2k_pairs(mode, monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_build_checks_that_each_cell_has_2k_distinct_parents(mode, monkeypatch):
-    # let one cell of grade 1 be reached twice from the same parent: it
+    # let one cell of grade 1 be reached twice from the same parent, by
+    # copying one (code, parent) key onto its twin with the same code: it
     # keeps its 2k pairs, but they come from fewer than 2k cells
     grow = moduli._grow
 
     def repeated(grade, prev, *args):
-        codes, parents = grow(grade, prev, *args)
+        keys, shift = grow(grade, prev, *args)
         if grade.ids.shape[1] == 1:
-            twin = np.flatnonzero(codes == codes[0])
-            parents[twin[1]] = parents[twin[0]]
-        return codes, parents
+            twin = np.flatnonzero(keys >> shift == keys[0] >> shift)
+            keys[twin[1]] = keys[twin[0]]
+        return keys, shift
 
     monkeypatch.setattr(moduli, "_grow", repeated)
     with pytest.raises(InvariantViolation,

@@ -31,6 +31,7 @@ from mosaic.moduli import (
     _check_map,
     _flags,
     _halves,
+    _key_shift,
     _parent_rows,
     _row_indices,
     build_complex,
@@ -50,6 +51,7 @@ from mosaic.moduli import (
 )
 from mosaic.polygon import (
     Dissection,
+    cayley_count,
     diagonals_cross,
     enumerate_diagonal_sets,
     polygon_diagonals,
@@ -394,11 +396,48 @@ def test_truncated_build_stops_at_the_requested_grade():
         assert shallow.coboundary_counts(cell) == {0: 1, 1: 2}
 
 
+@pytest.mark.parametrize("n, mode, max_codim",
+                         [(n, mode, None) for n in range(4, 8) for mode in (PROJECTIVE, DOUBLE_COVER)]
+                         + [(7, mode, top) for mode in (PROJECTIVE, DOUBLE_COVER) for top in range(3)])
+def test_codes_and_parent_rows_are_strictly_increasing(n, mode, max_codim, cache):
+    # the one sort of (code, parent) keys orders a grade's codes and each
+    # row of parents; the distinct-parents check compares neighbours only
+    complex_ = cache.full(n, mode) if max_codim is None else build_complex(n, mode, max_codim)
+    assert complex_.max_codim == (n - 3 if max_codim is None else max_codim)
+    for codes in complex_._codes.values():
+        assert (np.diff(codes) > 0).all()
+    for level in complex_.levels.values():
+        assert (np.diff(level.parents, axis=1) > 0).all()
+
+
+def grade_sizes(n, mode):
+    # (grade, diagonal sets, rows it grows from) for each grade of a build:
+    # grade 0 from the (n-1)! labelings, grade k from the cells of grade k-1
+    rows = (factorial(n - 1),) + closed_form_f_vector(n, mode)
+    return [(k, cayley_count(n, k), rows[k]) for k in range(n - 2)]
+
+
+@pytest.mark.parametrize("mode, needs", ((PROJECTIVE, (66, 71, 73, 74, 73, 70)),
+                                         (DOUBLE_COVER, (67, 72, 74, 75, 74, 71))))
+def test_keys_fit_an_int64_through_n_9_but_not_at_n_10(mode, needs):
+    # at n = 9 the double cover's grade 4 needs exactly 63 bits
+    for k, sets, rows in grade_sizes(9, mode):
+        assert _key_shift(k, 9, sets, rows) == rows.bit_length()
+    sizes = grade_sizes(10, mode)
+    for k, sets, rows in sizes[:2]:
+        assert _key_shift(k, 10, sets, rows) == rows.bit_length()
+    for (k, sets, rows), bits in zip(sizes[2:], needs, strict=True):
+        with pytest.raises(InvariantViolation, match=rf"^grade {k}: a \(code, parent\) key "
+                                                     rf"needs {bits} bits, more than the 63 of an int64$"):
+            _key_shift(k, 10, sets, rows)
+
+
 @pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
 def test_build_peaks_within_a_small_multiple_of_what_it_keeps(mode):
-    # a grade is deduplicated by one sort of its int64 codes, with int32
-    # parents, so the traced peak stays under 3.5 times the bytes of the
-    # codes and parent tables the complex keeps
+    # a grade is deduplicated by one in-place sort of its int64
+    # (code, parent) keys, so the traced peak stays under 3.5 times the
+    # bytes of the codes and parent tables the complex keeps (2.73 at
+    # n = 7; the n = 8 builds, in CI, stay under 2.0)
     build_complex(7, mode)                  # warm the diagonal-set and tree caches
     tracemalloc.start()
     try:
@@ -827,6 +866,22 @@ def test_classify_surface_needs_one_component():
     assert twice.f_vector() == (24, 60, 30)
     with pytest.raises(NotASurface, match=r"^complex is not connected$"):
         classify_surface(twice)
+
+
+def test_classify_surface_needs_each_tile_bounded_by_one_cycle():
+    # the two copies above, with the second copy's first tile renumbered
+    # to tile 0 in its facet rows: tile 0's edges then form two cycles
+    complex_ = build_complex(5)
+    tiles, edges = complex_.f_vector()[:2]
+    facets, corners = complex_.levels[1].parents, complex_.levels[2].parents
+    copied = facets + tiles
+    copied[copied == tiles] = 0
+    codes = {k: np.tile(grade, 2) for k, grade in complex_._codes.items()}
+    glued = ModuliComplex(5, PROJECTIVE, codes, {
+        1: _Level(2 * tiles, np.vstack([facets, np.sort(copied, axis=1)])),
+        2: _Level(2 * (tiles + edges), np.vstack([corners + tiles, corners + tiles + edges]))})
+    with pytest.raises(NotASurface, match=r"^tile 0: boundary is not a single cycle$"):
+        classify_surface(glued)
 
 
 def test_classify_surface_needs_dimension_two(cache):
