@@ -26,7 +26,9 @@ node.
 `build_complex` enumerates every cell of one regime for one n, graded by
 diagonal count (codimension).  Each grade grows from the one above: add
 every compatible diagonal to every cell, then apply the rule to all
-results at once with numpy (`_least`).  A cell of codimension k lies on
+results at once: which nodes turn fixes a least member, so each result
+walks its set's flip tables (`_Grade.flips`), one comparison a node
+(`_least_codes`).  A cell of codimension k lies on
 exactly 2(k - codim_offset) distinct cells of codimension k-1
 (codim_offset is 1 in a divisor subcomplex), each incidence of
 multiplicity 2^(k-1), so a grade's incidence is one table with a sorted
@@ -40,7 +42,7 @@ decodes a grade's slice of codes at once; `resolve` and `cell_for`
 encode a cell and find it by one search in its grade's codes.  The
 queries read the codes and the parent tables as arrays and make no Cell:
 divisors, surface recognition, and the covering map and the divisor
-factorization check, which look up all their cells at once with `_least`
+factorization check, which look up all their cells at once with `_grow`
 (`_row_indices`) and push each parent row through the map (`_check_map`).
 """
 
@@ -81,6 +83,7 @@ DOUBLE_COVER = "double-cover"
 _MODES = (PROJECTIVE, DOUBLE_COVER)
 
 _BUILD_LIMIT = 8
+_SLICE = 2048       # the results _grow walks through the flip tables at once
 
 
 def _check_mode(mode):
@@ -276,6 +279,34 @@ class _Grade:
                             dtype=np.int8).reshape(len(self.sets), k)
         self.masks = (np.int64(1) << self.ids).sum(axis=1)
         self._by_mask = np.argsort(self.masks)
+        self._block_id = block_id
+
+    def flips(self):
+        """The flip tables ends, weights and turned, row t << m | p for set t.
+
+        The bits of p say which of the m nodes of set t's tree, children
+        first, have turned.  ends[j] holds the two positions that node j
+        compares then, its first unit's start and its last's, weights each
+        position's weight in the code, and turned the diagonals' set index.
+        """
+        (count, k), n, m = self.ids.shape, self._block_id.n, len(self.trees[0])
+        # once p has turned in set t, order[t, p, x] is the position whose
+        # label sits at x and ids[t, p] holds the numbers of the diagonals
+        order = np.broadcast_to(np.arange(n, dtype=np.int8), (count, 1, n))
+        ids, ends, t = self.ids[:, None], [], np.arange(count)[:, None, None]
+        for j in range(m):
+            nodes, p = [tree[j] for tree in self.trees], np.arange(1 << j)[:, None]
+            at = np.array([(node.block[0], node.last) for node in nodes])[:, None]
+            ends.append(np.tile(order[t, p, at].transpose(2, 0, 1), 1 << (m - j)))
+            turn, move = map(np.array, zip(*map(self._block_id.turn, nodes)))
+            order = np.concatenate([order, order[t, p, turn[:, None]]], axis=1)
+            ids = np.concatenate([ids, move[t, ids]], axis=1)
+        order = order.reshape(count << m, n)
+        weights = np.empty(order.shape, dtype=np.int64)
+        weights[np.arange(len(order))[:, None], order] = _label_weights(n) * count
+        masks = (np.int64(1) << ids.reshape(len(order), k)).sum(axis=1)
+        return (np.array(ends, dtype=np.int8).reshape(m, 2, count << m), weights,
+                self.set_index(masks).astype(np.int32))
 
     def set_index(self, masks):
         """The indices of the diagonal sets with these bit masks (any, for others)."""
@@ -296,23 +327,23 @@ class _Blocks(dict):
         key = node.block, tuple(node.children)     # nodes recur across sets
         if key not in self._turns:
             self._turns[key] = (node.turned(range(self.n)),
-                                np.array([self[node.moved(blk)] for blk in self]))
+                                np.array([self[node.moved(blk)] for blk in self], dtype=np.int8))
         return self._turns[key]
 
 
-def _least(rows, ids, tree, block_id):
-    """Turn labelings sharing one diagonal set to their least members.
+def _least_codes(flips, labels, sets):
+    """The codes of the least members of labelings: cell_class's node loop on arrays.
 
-    The node loop of cell_class on arrays: rows holds the labelings, ids
-    the numbers of their diagonals, which move when a node turns.
+    labels holds the labelings and sets their set indices in the grade
+    whose flip tables these are; node j turns where its first label is
+    the greater, which moves the labeling to another row of the tables.
     """
-    for node in tree:
-        flip = rows[:, node.block[0]] > rows[:, node.last]
-        if flip.any():
-            order, move = block_id.turn(node)
-            rows[flip] = rows[flip][:, order]
-            ids[flip] = move[ids[flip]]
-    return rows, ids
+    ends, weights, turned = flips
+    flat, row = labels.ravel(), sets << len(ends)
+    start = np.arange(0, flat.size, labels.shape[1])
+    for j, (first, last) in enumerate(ends):
+        row += (flat[start + first[row]] > flat[start + last[row]]) << j
+    return np.einsum("ij,ij->i", labels, weights[row]) + turned[row]
 
 
 @lru_cache(maxsize=None)
@@ -504,7 +535,7 @@ def _key_shift(k, n, sets, rows):
     return shift
 
 
-def _grow(grade, prev, rows, sets, weights, block_id):
+def _grow(grade, prev, rows, sets):
     """Add each diagonal of the grade's sets to the cells of grade prev.
 
     rows and sets give those cells' labels and set indices in cell order.
@@ -519,15 +550,18 @@ def _grow(grade, prev, rows, sets, weights, block_id):
         grade.masks[:, None] - (np.int64(1) << grade.ids))
     by_set = np.argsort(sets, kind="stable").astype(np.int32)
     bounds = np.searchsorted(sets, np.arange(below.max() + 2), sorter=by_set)
-    ends = np.cumsum(np.diff(bounds)[below].sum(axis=1))
+    # run r takes the rows of set below.flat[r] into set r // below.shape[1]
+    sizes = np.diff(bounds)[below.ravel()]
+    ends = np.cumsum(sizes)
+    offset = bounds[below.ravel()] - (ends - sizes)   # result i of run r: by_set[offset[r] + i]
+    flips = grade.flips()
     keys = np.empty(ends[-1], dtype=np.int64)
-    for t, (tree, lo, hi) in enumerate(zip(grade.trees, np.r_[0, ends[:-1]], ends)):
-        members = np.concatenate([by_set[bounds[s]:bounds[s + 1]] for s in below[t]])
-        ids = np.repeat(grade.ids[t:t + 1], len(members), axis=0)
-        least, ids = _least(rows[members], ids, tree, block_id)
-        code = (least @ weights) * len(grade.sets) \
-            + grade.set_index((np.int64(1) << ids).sum(axis=1))
-        keys[lo:hi] = code << shift | members
+    for lo in range(0, len(keys), _SLICE):
+        at = np.arange(lo, min(lo + _SLICE, len(keys)))
+        run = np.searchsorted(ends, at, side="right")
+        parent = by_set[offset[run] + at]
+        code = _least_codes(flips, rows[parent], run // below.shape[1])
+        keys[lo:lo + _SLICE] = code << shift | parent
     return keys, shift
 
 
@@ -589,7 +623,6 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
             raise RangeError(f"max_codim must be >= 0, got {max_codim}")
         top = min(max_codim, top)
     expected = closed_form_f_vector(n, mode)
-    weights = _label_weights(n)
     block_id = _Blocks(n, mode)
 
     codes, levels, start = {}, {}, 0
@@ -597,7 +630,7 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
     sets, prev = np.zeros(len(rows), dtype=np.int32), None
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
-        keys, shift = _grow(grade, prev, rows, sets, weights, block_id)
+        keys, shift = _grow(grade, prev, rows, sets)
         del rows, sets
         # one sort gives the cells, the first code of each run of equal
         # codes; the runs' lengths; and, in the same order, their parents,
@@ -628,13 +661,13 @@ def _row_indices(target, rows, counts, ends):
     rows holds each dissection's labels on target.n sides, counts its
     number of diagonals and ends its diagonals, row after row.  Each row
     is turned so label 1 comes first, with its diagonals turned along and
-    numbered by polygon_diagonals into a bit mask.  The rows sharing a
-    diagonal set go through _least together, and their least members'
+    numbered by polygon_diagonals into a bit mask.  The rows of each
+    grade go through _grow with their own sets, and their least members'
     codes are found among the target's by one searchsorted per grade.
     UnknownCell names the first row that lies in no cell of the target.
     """
     n = target.n
-    weights, block_id = _label_weights(n), _Blocks(n, PROJECTIVE)
+    block_id = _Blocks(n, PROJECTIVE)
     r = np.argmax(rows == 1, axis=1).astype(np.int8)
     # row i turned is window r[i] of row i written out twice
     windows = np.lib.stride_tricks.sliding_window_view(np.hstack([rows, rows]), n, axis=1)
@@ -650,8 +683,7 @@ def _row_indices(target, rows, counts, ends):
     for k, (start, end) in target.grade_range.items():
         grade = _Grade(n, PROJECTIVE, k, block_id)
         mine = np.flatnonzero(counts == k)
-        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]),
-                            weights, block_id)
+        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]))
         codes, mine, own = keys >> shift, mine[keys & ((1 << shift) - 1)], target._codes[k]
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)

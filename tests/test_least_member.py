@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from closure_reference import closure_build, closure_cell_class
+from least_reference import differences
 from mosaic import moduli
 from mosaic.errors import InvariantViolation
 from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, cell_class, marked_twist, twist
@@ -69,8 +70,24 @@ def test_cell_class_is_invariant_under_random_twist_sequences(mode, move):
 
 
 @pytest.mark.parametrize("mode", MODES)
+def test_flip_tables_match_the_least_member_rule_at_n8(mode):
+    # every diagonal set of the octagon, each with a seeded sample of
+    # labelings, against cell_class's rule; the closure oracle stops at n = 7
+    bad, bits = differences(8, mode, samples=8, seed=20261019)
+    assert bad == []
+    assert sorted(bits) == list(range(6))
+
+
+@pytest.mark.parametrize("mode", MODES)
 def test_build_fails_without_the_least_member_rule(mode, monkeypatch):
-    monkeypatch.setattr(moduli, "_least", lambda rows, ids, tree, block_id: (rows, ids))
+    least = moduli._least_codes
+
+    def unturned(flips, labels, sets):
+        # each node compares its first label with itself, so none turns
+        ends, weights, turned = flips
+        return least((ends[:, [0, 0]], weights, turned), labels, sets)
+
+    monkeypatch.setattr(moduli, "_least_codes", unturned)
     # the unturned results outnumber the cells: the tiles in the
     # projective regime, the cells of grade 1 in the double cover
     grade = 0 if mode == PROJECTIVE else 1
@@ -83,18 +100,19 @@ def test_build_fails_without_the_least_member_rule(mode, monkeypatch):
 def test_build_checks_that_each_cell_is_reached_by_2k_pairs(mode, monkeypatch):
     # move one result of grade 1 onto another cell: the grade keeps its
     # cell count, but one cell is reached 2k - 1 times and one 2k + 1
-    least = moduli._least
+    least = moduli._least_codes
     moved = []
 
-    def skewed(rows, ids, tree, block_id):
-        rows, ids = least(rows, ids, tree, block_id)
-        other = np.flatnonzero((rows != rows[0]).any(axis=1))
-        if ids.shape[1] and len(other) and not moved:
-            rows[0], ids[0] = rows[other[0]], ids[other[0]]
+    def skewed(flips, labels, sets):
+        codes = least(flips, labels, sets)
+        other = np.flatnonzero(codes != codes[0])
+        # a grade-1 tree has two nodes that may turn, one in the double cover
+        if len(flips[0]) == (2 if mode == PROJECTIVE else 1) and len(other) and not moved:
+            codes[0] = codes[other[0]]
             moved.append(True)
-        return rows, ids
+        return codes
 
-    monkeypatch.setattr(moduli, "_least", skewed)
+    monkeypatch.setattr(moduli, "_least_codes", skewed)
     with pytest.raises(InvariantViolation,
                        match=r"^grade 1: cell \d+ is reached by [13] .* not 2$"):
         moduli.build_complex(5, mode)

@@ -436,7 +436,7 @@ def test_keys_fit_an_int64_through_n_9_but_not_at_n_10(mode, needs):
 def test_build_peaks_within_a_small_multiple_of_what_it_keeps(mode):
     # a grade is deduplicated by one in-place sort of its int64
     # (code, parent) keys, so the traced peak stays under 3.5 times the
-    # bytes of the codes and parent tables the complex keeps (2.73 at
+    # bytes of the codes and parent tables the complex keeps (2.76 at
     # n = 7; the n = 8 builds, in CI, stay under 2.0)
     build_complex(7, mode)                  # warm the diagonal-set and tree caches
     tracemalloc.start()
