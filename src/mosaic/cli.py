@@ -9,7 +9,6 @@ deterministic for fixed flags.
 import argparse
 import json
 import sys
-from itertools import islice
 from math import factorial
 
 import numpy as np
@@ -165,29 +164,30 @@ def _pair_texts(complex_):
             yield ", ".join(["[%d, %d]"] * len(pairs)) % tuple(pairs.ravel().tolist())
 
 
-def _cell_texts(cells):
-    # the cells' text, _CHUNK cells at a time; each diagonal set's text is
-    # made once, and a label tuple's text without its parentheses is its
-    # list's
-    diagonals, cells = {}, iter(cells)
-    while chunk := list(islice(cells, _CHUNK)):
-        for cell in chunk:
-            if cell.diagonals not in diagonals:
-                diagonals[cell.diagonals] = str(list(map(list, cell.diagonals)))
-        yield ", ".join(f'{{"codim": {c.codim}, "id": {c.index}, "representative": '
-                        f'{{"diagonals": {diagonals[c.diagonals]}, '
-                        f'"labels": [{str(c.labels)[1:-1]}]}}}}' for c in chunk)
+def _cell_texts(complex_):
+    # the cells' text, _CHUNK cells at a time, each filled into one format
+    # from its index, its diagonal set's text (made once a grade) and labels
+    labels = ", ".join(["%d"] * complex_.n)
+    for k, first, rows, at, sets in complex_.decode(range(len(complex_.cells))):
+        cell = (f'{{"codim": {k}, "id": %d, "representative": {{"diagonals": %s, '
+                f'"labels": [{labels}]}}}}')
+        texts = np.array([str(list(map(list, ds))) for ds in sets], dtype=object)[at, None]
+        ids = np.arange(first, first + len(rows))[:, None]
+        for lo in range(0, len(rows), _CHUNK):
+            table = np.hstack([t[lo:lo + _CHUNK] for t in (ids, texts, rows)], dtype=object)
+            yield ", ".join([cell] * len(table)) % tuple(table.ravel().tolist())
 
 
 def write_json(complex_):
     """Print the complex's incidence pairs, cells, mode, n and tiles as JSON.
 
-    The text is json.dumps with sort_keys of one dict holding them all,
-    and a newline, written _CHUNK list items at a time; no dict is made.
+    The text is json.dumps with sort_keys of one dict holding them all and a
+    newline, written _CHUNK list items at a time: no dict, nor Cell, is made,
+    as the cells come from the label rows of ModuliComplex.decode.
     """
     write = sys.stdout.write
     for head, texts in (('{"boundary": [', _pair_texts(complex_)),
-                        ('], "cells": [', _cell_texts(complex_.cells))):
+                        ('], "cells": [', _cell_texts(complex_))):
         write(head)
         for i, text in enumerate(texts):
             write(", " + text if i else text)
@@ -199,15 +199,15 @@ def render_dot(complex_):
     """The tile graph: one node per tile, one edge per facet, between its two tiles."""
     name = f"tiles_n{complex_.n}_{complex_.mode.replace('-', '_')}"
     lines = [f"graph {name} {{"]
-    for tile in complex_.tiles():
-        label = " ".join(str(x) for x in tile.labels)
-        lines.append(f'  t{tile.index} [label="{label}"];')
+    tiles = range(*complex_.grade_range[complex_.codim_offset])
+    for _, first, labels, _, _ in complex_.decode(tiles):
+        lines += [f'  t{i} [label="{" ".join(map(str, row))}"];'
+                  for i, row in enumerate(labels.tolist(), first)]
     facets = complex_.levels.get(complex_.codim_offset + 1)     # none at n = 3
     if facets is not None:
-        for facet, (u, v) in enumerate(facets.parents.tolist(), facets.start):
-            lines.append(f"  t{u} -- t{v};  // facet {facet}")
-    lines.append("}")
-    return "\n".join(lines)
+        lines += [f"  t{u} -- t{v};  // facet {facet}"
+                  for facet, (u, v) in enumerate(facets.parents.tolist(), facets.start)]
+    return "\n".join(lines + ["}"])
 
 
 def cmd_complex(args):

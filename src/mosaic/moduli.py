@@ -37,13 +37,15 @@ row of parents per cell.
 A cell is stored only as its code: its least member's labels read in
 base n+1, times the number of diagonal sets of its grade, plus the index
 of its set.  Each grade is one sorted int64 array of codes, and cells
-are numbered in code order, grade by grade.  `ModuliComplex.cells`
-decodes a grade's slice of codes at once; `resolve` and `cell_for`
-encode a cell and find it by one search in its grade's codes.  The
-queries read the codes and the parent tables as arrays and make no Cell:
-divisors, surface recognition, and the covering map and the divisor
-factorization check, which look up all their cells at once with `_grow`
-(`_row_indices`) and push each parent row through the map (`_check_map`).
+are numbered in code order, grade by grade.  `ModuliComplex.decode`, the
+one reader of codes, turns a grade's slice into label rows and set
+indices at once: for `cells`, the covering map, the divisor check and the
+`cli` exports.  `resolve` and `cell_for` encode a cell and find it by one
+search in its grade's codes.  The queries read the codes and the parent
+tables as arrays and make no Cell: divisors, surface recognition, and the
+covering map and the divisor factorization check, which look up all
+their cells at once with `_grow` (`_row_indices`) and push each parent
+row through the map (`_check_map`).
 """
 
 from __future__ import annotations
@@ -381,18 +383,11 @@ class _Cells(Sequence):
         return next(iter(_Cells(self._complex, range(index, index + 1))))
 
     def __iter__(self):
-        complex_, indices = self._complex, self._range
-        if indices.step != 1:
-            yield from map(self.__getitem__, range(len(indices)))
-            return
-        for k, (start, end) in complex_.grade_range.items():
-            lo, hi = max(start, indices.start), min(end, indices.stop)
-            if lo < hi:
-                sets = complex_._grades[k][2]
-                labels, at = _unpack(complex_._codes[k][lo - start:hi - start],
-                                     complex_.n, len(sets))
-                for index, row, s in zip(range(lo, hi), labels.tolist(), at.tolist()):
-                    yield Cell(complex_.mode, tuple(row), sets[s], 1 << k, index)
+        if self._range.step != 1:
+            return map(self.__getitem__, range(len(self)))
+        return (Cell(self._complex.mode, tuple(row), sets[s], 1 << k, index)
+                for k, lo, labels, at, sets in self._complex.decode(self._range)
+                for index, (row, s) in enumerate(zip(labels.tolist(), at.tolist()), lo))
 
 
 class ModuliComplex:
@@ -400,7 +395,7 @@ class ModuliComplex:
 
     codes maps each grade to the sorted codes of its cells, the only form
     in which a cell is stored; cells are numbered densely in code order,
-    grade by grade, and cells decodes them when read.  The incidence
+    grade by grade, and decode reads them back.  The incidence
     between grades k-1 and k is held in levels[k].  A divisor subcomplex
     keeps the ambient codes of its cells, with codim_offset 1: its top
     cells sit at codimension 1 of the ambient complex.
@@ -449,6 +444,18 @@ class ModuliComplex:
         if index is None:
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
         return index
+
+    def decode(self, indices):
+        """Cells of an index range (step 1), read from their codes a grade's slice at a time.
+
+        Yields each slice's grade, first index, int8 label rows and int32
+        indices into the grade's diagonal sets, and those sets.
+        """
+        for k, (start, end) in self.grade_range.items():
+            a, b = max(start, indices.start), min(end, indices.stop)
+            if a < b:
+                sets = self._grades[k][2]
+                yield k, a, *_unpack(self._codes[k][a - start:b - start], self.n, len(sets)), sets
 
     # -- shape ------------------------------------------------------------
 
@@ -802,20 +809,12 @@ def euler_proof_sum(n):
 # divisor subcomplexes
 
 
-def _cell_rows(complex_, grades):
-    """The cells of these grades as label rows, diagonal counts and diagonals.
-
-    Read from the codes in index order; the diagonals (i, j) follow each
-    other row after row, as _row_indices takes them.
-    """
-    n, rows, counts, ends = complex_.n, [], [], []
-    for k in grades:
-        sets = complex_._grades[k][2]
-        labels, s = _unpack(complex_._codes[k], n, len(sets))
-        rows.append(labels)
-        counts.append(np.full(len(labels), k))
-        ends.append(np.array(sets, dtype=np.int8).reshape(len(sets), k, 2)[s].reshape(-1, 2))
-    return tuple(map(np.concatenate, (rows, counts, ends)))
+def _cell_rows(complex_, indices):
+    """The cells of a range of indices as label rows, diagonal counts and diagonals."""
+    slices = [(labels, np.full(len(labels), k),
+               np.array(sets, dtype=np.int8).reshape(len(sets), k, 2)[s].reshape(-1, 2))
+              for k, _, labels, s, sets in complex_.decode(indices)]
+    return tuple(map(np.concatenate, zip(*slices)))
 
 
 def _splits(rows, counts, ends):
@@ -863,9 +862,9 @@ def divisor_subcomplex(complex_, subset):
 
     # a grade-1 cell carries the split when the labels on one side of its
     # one diagonal are S or its complement
-    _, split = _splits(*_cell_rows(complex_, [1]))
-    mask = sum(1 << x for x in S)
     start, end = complex_.grade_range[1]
+    _, split = _splits(*_cell_rows(complex_, range(start, end)))
+    mask = sum(1 << x for x in S)
     inside = np.zeros(len(complex_.cells), dtype=bool)
     inside[start:end] = (split == mask) | (split == (1 << n + 1) - 2 - mask)
     # twists keep every diagonal's label split and deleting a diagonal
@@ -911,7 +910,7 @@ def _halves(sub):
     InvariantViolation is raised unless every cell has one such diagonal.
     """
     n, S = sub.n, sub.divisor_set
-    rows, counts, ends = _cell_rows(sub, sub.grade_range)
+    rows, counts, ends = _cell_rows(sub, range(len(sub.cells)))
     row, split = _splits(rows, counts, ends)
     mask = sum(1 << x for x in S)
     cut = (split == mask) | (split == (1 << n + 1) - 2 - mask)
@@ -1074,7 +1073,7 @@ def covering_map(cover, projective):
         raise MosaicError(f"sizes differ: {cover.n} vs {projective.n}")
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
-    image = _row_indices(projective, *_cell_rows(cover, cover.grade_range))
+    image = _row_indices(projective, *_cell_rows(cover, range(len(cover.cells))))
     return CoveringReport(n=cover.n, mapping=tuple(image.tolist()), failures=_check_map(
         cover, image, partial(_parent_rows, projective), 2, len(projective.cells), "projective"))
 

@@ -177,6 +177,22 @@ def test_complex_dot_is_the_reference_rendering(n, mode, cache):
     assert out == reference_dot(cache.full(n, mode)) + "\n"
 
 
+class _NoCell:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a Cell was made")
+
+
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+def test_complex_exports_make_no_cell(mode, cache, monkeypatch):
+    # the JSON and dot text come from the label rows the codes decode to
+    complex_ = cache.full(6, mode)
+    want = {"--json": json.dumps(reference_payload(complex_), sort_keys=True) + "\n",
+            "--dot": reference_dot(complex_) + "\n"}
+    monkeypatch.setattr(moduli, "Cell", _NoCell)
+    for flag, text in want.items():
+        assert run_cli("complex", "--n", "6", "--mode", mode, flag) == (0, text, "")
+
+
 # sha256 of the stdout of `mosaic complex --n N --mode M --dot`, frozen
 COMPLEX_DOT_SHA256 = {
     (6, "projective"): "6df2c6858e0984f9882df3207cae0bfe693f8bac8172bc1a0f756bcc84741c6b",
