@@ -23,7 +23,7 @@ from .errors import (
     RangeError,
     UnknownLabel,
 )
-from .polygon import Dissection, _map_diagonals, dihedral_canonical, enumerate_diagonal_sets
+from .polygon import Dissection, dihedral_canonical, enumerate_diagonal_sets
 
 
 @dataclass(frozen=True)
@@ -58,25 +58,28 @@ def compose_single(g, a, h, b):
         q = h.labels.index(b)
     except ValueError:
         raise UnknownLabel(f"{b!r} is not a side label of {h!r}") from None
-    n1, n2 = g.n, h.n
+    n1, n2 = len(g.labels), len(h.labels)
     total = n1 + n2 - 2
-    surviving_g = set(g.labels) - {a}
-    surviving_h = set(h.labels) - {b}
-    clash = surviving_g & surviving_h
-    if clash:
+    g_side, h_side = g.labels[p + 1:] + g.labels[:p], h.labels[q + 1:] + h.labels[:q]
+    if not set(g_side).isdisjoint(h_side):
+        clash = set(g_side) & set(h_side)
         raise LabelCollision(f"labels on both polygons: {sorted(map(repr, clash))}")
 
-    labels = g.labels[p + 1:] + g.labels[:p] + h.labels[q + 1:] + h.labels[:q]
-    diagonals = ((0, n1 - 1),) + _map_diagonals(g.diagonals, lambda v: v - p - 1, n1) \
-        + _map_diagonals(h.diagonals, lambda v: n1 - 1 + (v - q - 1) % n2, total)
-    result = Dissection._made(labels, frozenset(diagonals))
+    # h's vertex q, where side b starts, goes to total: it wraps to vertex 0
+    diagonals = [(0, n1 - 1)]
+    for u, v in g.diagonals:
+        u, v = (u - p - 1) % n1, (v - p - 1) % n1
+        diagonals.append((u, v) if u < v else (v, u))
+    for u, v in h.diagonals:
+        u, v = (n1 - 1 + (u - q - 1) % n2) % total, (n1 - 1 + (v - q - 1) % n2) % total
+        diagonals.append((u, v) if u < v else (v, u))
+    result = Dissection._made(g_side + h_side, frozenset(diagonals))
 
     if result.n != total or len(result.diagonals) != len(g.diagonals) + len(h.diagonals) + 1:
         raise InvariantViolation(
             f"composition bookkeeping broke: {result.n} sides, "
             f"{len(result.diagonals)} diagonals from {n1}+{n2} gluing")
-    part, rest = result.split_labels((0, n1 - 1))
-    if set(part) != surviving_g or set(rest) != surviving_h:
+    if result.split_labels((0, n1 - 1)) != (g_side, h_side):
         raise InvariantViolation("seam fails to separate the two polygons' labels")
     return result
 
@@ -141,7 +144,7 @@ def sweep_full_compositions(max_sides=7):
 def relabel(g, sigma):
     """Apply a label bijection sigma (a mapping) to every side of g."""
     try:
-        new_labels = tuple(sigma[x] for x in g.labels)
+        new_labels = tuple(map(sigma.__getitem__, g.labels))
     except KeyError as missing:
         raise NonBijective(f"relabeling undefined on {missing.args[0]!r}") from None
     if len(set(new_labels)) != len(new_labels):
@@ -179,10 +182,6 @@ def _all_dissections(n, pool_start):
     return out
 
 
-def _canonical_key(diss):
-    return dihedral_canonical(diss).encoding()
-
-
 def check_operad_axioms(max_sides=7):
     """Exhaustively verify associativity and equivariance at small sizes.
 
@@ -190,11 +189,12 @@ def check_operad_axioms(max_sides=7):
     at most `max_sides` sides, every diagonal set of each operand, and
     every choice of glued sides.  Sequential associativity
     (g o_a h) o_c k = g o_a (h o_c k) and parallel associativity
-    (g o_a h) o_c k = (g o_c k) o_a h are compared through canonical
-    forms (the two sides differ by a rotation).  Equivariance
-    relabel(g) o relabel(h) = relabel(g o h) is exact; the label
-    bijections are exhaustive for the 3+3 case and a fixed four-map
-    family above that.
+    (g o_a h) o_c k = (g o_c k) o_a h are compared as `dihedral_canonical`
+    dissections (the two sides differ by a rotation).  A failure names
+    g, h, k and the glued sides: a of g to b of h, and c to e of k.
+    Equivariance relabel(g) o relabel(h) = relabel(g o h) is exact; the
+    label bijections are exhaustive for the 3+3 case and a fixed
+    four-map family above that.
     """
     if max_sides > 7:
         raise RangeError(f"axiom sweep is limited to composites of <= 7 sides, got {max_sides}")
@@ -243,11 +243,11 @@ def _sweep_associativity(report, g, h, k):
                 else:
                     right = compose_single(g_k[c, e], a, h, b)
                     report.parallel_checked += 1
-                if _canonical_key(left) != _canonical_key(right):
+                if dihedral_canonical(left) != dihedral_canonical(right):
                     report.failures.append(
-                        f"sequential associativity broke at {g!r} o_{a} {h!r} o_{c} {k!r}"
-                        if sequential else
-                        f"parallel associativity broke at {g!r} o_{a} {h!r}, o_{c} {k!r}")
+                        f"{'sequential' if sequential else 'parallel'} associativity broke "
+                        f"at g = {g!r}, h = {h!r}, k = {k!r}, "
+                        f"a = {a!r}, b = {b!r}, c = {c!r}, e = {e!r}")
 
 
 def _label_bijections(universe):

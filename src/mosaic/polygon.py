@@ -205,15 +205,6 @@ def cayley_count(n, k):
     return num // (k + 1)
 
 
-def _map_diagonals(diagonals, vertex_map, n):
-    out = []
-    for u, v in diagonals:
-        a, b = vertex_map(u) % n, vertex_map(v) % n
-        out.append((a, b) if a < b else (b, a))
-    out.sort()
-    return tuple(out)
-
-
 def dihedral_canonical(diss):
     """The least dissection in the dihedral orbit of `diss`.
 
@@ -225,17 +216,24 @@ def dihedral_canonical(diss):
     least label's two neighbours: comparing the neighbours decides.
     """
     labels = diss.labels
-    n = diss.n
+    n = len(labels)
     keys = [label_sort_key(x) for x in labels]
     r = keys.index(min(keys))
     after, before = keys[(r + 1) % n], keys[r - 1]
     if after == before:
         raise InvariantViolation(f"the rotation and the reflection of {labels!r} tie")
+    diagonals = []
     if after < before:
-        new_labels, vertex = labels[r:] + labels[:r], lambda v: v - r
+        new_labels = labels[r:] + labels[:r]
+        for u, v in diss.diagonals:
+            u, v = (u - r) % n, (v - r) % n
+            diagonals.append((u, v) if u < v else (v, u))
     else:
-        new_labels, vertex = labels[r::-1] + labels[:r:-1], lambda v: r + 1 - v
-    return Dissection._made(new_labels, frozenset(_map_diagonals(diss.diagonals, vertex, n)))
+        new_labels = labels[r::-1] + labels[:r:-1]
+        for u, v in diss.diagonals:
+            u, v = (r + 1 - u) % n, (r + 1 - v) % n
+            diagonals.append((u, v) if u < v else (v, u))
+    return Dissection._made(new_labels, frozenset(diagonals))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Gluing labeled polygons and the operad axiom sweeps."""
 
+import ast
 import random
+import re
 
 import pytest
 
+from compose_reference import differences, gluings, reference_compose, wraps
 from mosaic import operad
 from mosaic.errors import (
     ArityMismatch,
@@ -211,6 +214,57 @@ def test_axiom_sweep_reports_a_composition_that_breaks_associativity(monkeypatch
     assert all("associativity broke" in failure for failure in report.failures)
     assert any(failure.startswith("sequential") for failure in report.failures)
     assert any(failure.startswith("parallel") for failure in report.failures)
+
+    # each kind of failure replays from its message alone: the two sides
+    # differ under the forgetful composition and agree under the right one
+    for kind in ("sequential", "parallel"):
+        failure = next(f for f in report.failures if f.startswith(kind))
+        assert _replay(failure, forgetful) is False, failure
+        assert _replay(failure, right) is True, failure
+
+
+def _replay(failure, compose):
+    # whether the two sides of the reported identity have one canonical form
+    named = dict(re.findall(r"\b([ghkabce]) = (Dissection\(.*?\]\)|\d+)", failure))
+    g, h, k = (Dissection(*ast.literal_eval(named[x][len("Dissection"):])) for x in "ghk")
+    a, b, c, e = (int(named[x]) for x in "abce")
+    left = compose(compose(g, a, h, b), c, k, e)
+    if failure.startswith("sequential"):
+        right = compose(g, a, compose(h, c, k, e), b)
+    else:
+        right = compose(compose(g, c, k, e), a, h, b)
+    return dihedral_canonical(left) == dihedral_canonical(right)
+
+
+def test_axiom_sweep_reports_a_relabeling_that_breaks_equivariance(monkeypatch):
+    right = operad.relabel
+
+    def forgetful(g, sigma):
+        # drops the diagonals of a composite, the only dissection that
+        # carries labels from both pools (g's from 100, h's from 200); as
+        # every composite has its seam, every equivariance check fails
+        out = right(g, sigma)
+        return Dissection(out.labels) if len({x // 100 for x in g.labels}) > 1 else out
+
+    monkeypatch.setattr(operad, "relabel", forgetful)
+    report = check_operad_axioms(5)
+    assert report.equivariance_checked == 6768
+    assert len(report.failures) == report.equivariance_checked
+    assert all(failure.startswith("equivariance broke") for failure in report.failures)
+
+
+def test_compositions_and_canonical_forms_match_the_old_vertex_maps():
+    # the gluings include every one where a diagonal of h ends at vertex
+    # q, which goes to total and wraps to vertex 0 of the composite
+    assert sum(wraps(*gluing) for gluing in gluings(7)) > 0
+    assert list(differences(7)) == []
+
+
+def test_a_diagonal_of_h_at_the_start_of_side_b_wraps_to_vertex_0():
+    g, h = Dissection((1, 2, 3)), Dissection((4, 5, 6, 7), {(1, 3)})
+    assert wraps(g, 1, h, 7)
+    out = compose_single(g, 1, h, 7)
+    assert out == reference_compose(g, 1, h, 7) == Dissection((2, 3, 4, 5, 6), {(0, 2), (0, 3)})
 
 
 def test_axiom_sweep_range_guard():
