@@ -1,9 +1,27 @@
-"""Exception types raised by the engine.
+"""Exception types raised by the engine, and the shape of a check's report.
 
 Everything derives from MosaicError, itself a ValueError, so callers can
 catch broadly or precisely.  Each class names one way an input can be
-malformed; messages carry the offending values.
+malformed; messages carry the offending values.  A check that collects
+its failures instead of raising returns a CheckReport.
 """
+
+from dataclasses import dataclass, field
+
+
+@dataclass
+class CheckReport:
+    """Outcome of one check: it passes when it lists no failures."""
+
+    failures: list = field(default_factory=list, kw_only=True)
+
+    @property
+    def passed(self):
+        return not self.failures
+
+    @property
+    def verdict(self):
+        return "pass" if self.passed else f"{len(self.failures)} FAILURES"
 
 
 class MosaicError(ValueError):

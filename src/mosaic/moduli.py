@@ -61,6 +61,7 @@ import numpy as np
 
 from .errors import (
     BadSubsetSize,
+    CheckReport,
     InvariantViolation,
     MismatchedPolygons,
     MosaicError,
@@ -936,7 +937,7 @@ def _halves(sub):
 
 
 @dataclass
-class DivisorReport:
+class DivisorReport(CheckReport):
     """Outcome of checking one divisor against its product model."""
 
     n: int
@@ -945,18 +946,12 @@ class DivisorReport:
     sub_f_vector: tuple = ()
     cells_checked: int = 0
     incidences_checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
 
     def __str__(self):
         m1, m2 = self.factor_sizes
-        verdict = "pass" if self.passed else f"{len(self.failures)} FAILURES"
         return (f"divisor {sorted(self.subset)} of n={self.n}: "
                 f"{self.cells_checked} cells vs {m1}-gon x {m2}-gon product, "
-                f"{self.incidences_checked} incidences: {verdict}")
+                f"{self.incidences_checked} incidences: {self.verdict}")
 
 
 def verify_divisor_factorization(complex_, subset, factors=None):
@@ -1041,20 +1036,14 @@ def divisor_label_classes(n):
 
 
 @dataclass
-class CoveringReport:
+class CoveringReport(CheckReport):
     """Outcome of checking the 2-to-1 cell map double cover -> projective."""
 
     n: int
     mapping: tuple = ()
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
 
     def __str__(self):
-        verdict = "pass" if self.passed else f"{len(self.failures)} FAILURES"
-        return f"double cover of n={self.n}: {len(self.mapping)} cells map 2-to-1: {verdict}"
+        return f"double cover of n={self.n}: {len(self.mapping)} cells map 2-to-1: {self.verdict}"
 
 
 def covering_map(cover, projective):

@@ -12,11 +12,12 @@ the associativity and equivariance identities over every small instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import (
     ArityMismatch,
+    CheckReport,
     InvariantViolation,
     LabelCollision,
     NonBijective,
@@ -153,23 +154,17 @@ def relabel(g, sigma):
 
 
 @dataclass
-class AxiomReport:
+class AxiomReport(CheckReport):
     """Outcome of the operad axiom sweep."""
 
     sequential_checked: int = 0
     parallel_checked: int = 0
     equivariance_checked: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
 
     def __str__(self):
-        verdict = "pass" if self.passed else f"{len(self.failures)} FAILURES"
         return (f"operad axioms: {self.sequential_checked} sequential, "
                 f"{self.parallel_checked} parallel, "
-                f"{self.equivariance_checked} equivariance checks: {verdict}")
+                f"{self.equivariance_checked} equivariance checks: {self.verdict}")
 
 
 def _all_dissections(n, pool_start):

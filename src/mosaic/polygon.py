@@ -161,7 +161,8 @@ def polygon_diagonals(n):
 def _noncrossing_sets(n):
     # all pairwise non-crossing diagonal sets of the n-gon, grouped by
     # size, each group in lexicographic order (DFS over the sorted
-    # diagonal list extends every prefix in order)
+    # diagonal list extends every prefix in order); a later candidate e
+    # has e[0] >= d[0], so it crosses d exactly when d[0] < e[0] < d[1] < e[1]
     diags = polygon_diagonals(n)
     by_size = [[] for _ in range(n - 2)]
     chosen = []
@@ -170,7 +171,7 @@ def _noncrossing_sets(n):
         by_size[len(chosen)].append(tuple(chosen))
         for idx, d in enumerate(candidates):
             chosen.append(d)
-            grow([e for e in candidates[idx + 1:] if not diagonals_cross(d, e, n)])
+            grow([e for e in candidates[idx + 1:] if not d[0] < e[0] < d[1] < e[1]])
             chosen.pop()
 
     grow(diags)

@@ -4,7 +4,7 @@ Generators are the diagonals of the reference n-gon.  Each diagonal
 cuts off a run of sides away from the marked side n, its free part, and
 acts on labels by reversing that run.  relations(n) reads no cell
 complex: it superimposes pairs of diagonals on the reference polygon,
-and lists three relation families:
+once per n, and lists three relation families:
 
   involution   s s = 1 for every generator,
   commuting    s_a s_b = s_b s_a whenever the superimposed pair is
@@ -18,13 +18,19 @@ relation under phi and compares them.  It proves phi onto without
 listing the group: the span-2 diagonal (i-1, i+1) has free part
 {i, i+1}, so its image is the adjacent transposition (i i+1), and
 these n-2 transpositions generate S_{n-1} (Coxeter).
+
+That one table is all the presentation: check_phi, export_presentation
+and pair_of_pants read it, and a juxtaposition checks each relation it
+carries, and each cross pair's commuting relation, by membership in the
+target's table.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from math import factorial
 
-from .errors import InvariantViolation, NonBijective, NotSI, RangeError
+from .errors import CheckReport, InvariantViolation, NonBijective, NotSI, RangeError
 from .associahedron import reference_polygon
 from .moduli import marked_twist
 from .polygon import polygon_diagonals, superimpose
@@ -148,8 +154,9 @@ class Relation:
     right: tuple
 
 
+@lru_cache(maxsize=None)
 def relations(n):
-    """The defining relations, deterministically ordered.
+    """The defining relations as one tuple, made once per n, in a fixed order.
 
     Involutions come first, then one relation per superimposable pair.
     A pair commutes when both marked twists of the superimposed
@@ -180,27 +187,21 @@ def relations(n):
                 f"noncommuting pair {a.diagonal}/{b.diagonal} is not nested")
         third = conjugate_in(outer, inner)
         rels.append(Relation("conjugation", (outer, inner), (third, outer)))
-    return rels
+    return tuple(rels)
 
 
 @dataclass
-class PhiReport:
+class PhiReport(CheckReport):
     """Outcome of checking phi on every relation plus surjectivity."""
 
     n: int
     relations_checked: int = 0
     image_order: int = 0
     expected_order: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
 
     def __str__(self):
-        verdict = "pass" if self.passed else f"{len(self.failures)} FAILURES"
         return (f"phi on J_{self.n - 1}: {self.relations_checked} relations, "
-                f"image order {self.image_order}/{self.expected_order}: {verdict}")
+                f"image order {self.image_order}/{self.expected_order}: {self.verdict}")
 
 
 def check_phi(n):
@@ -240,7 +241,7 @@ def check_phi(n):
 
 
 @dataclass
-class PantsReport:
+class PantsReport(CheckReport):
     """Outcome of checking one juxtaposition of two generator sets."""
 
     m: int
@@ -248,39 +249,22 @@ class PantsReport:
     target: int
     relations_mapped: int = 0
     cross_pairs: int = 0
-    failures: list = field(default_factory=list)
-
-    @property
-    def passed(self):
-        return not self.failures
 
     def __str__(self):
-        verdict = "pass" if self.passed else f"{len(self.failures)} FAILURES"
         return (f"juxtaposition J_{self.m} x J_{self.n} -> J_{self.target - 1}: "
                 f"{self.relations_mapped} relations carried, "
-                f"{self.cross_pairs} cross pairs commute: {verdict}")
-
-
-def _relation_index(rels):
-    commuting = set()
-    conjugation = {}
-    for rel in rels:
-        if rel.kind == "commuting":
-            commuting.add(frozenset((rel.left[0].diagonal, rel.left[1].diagonal)))
-        elif rel.kind == "conjugation":
-            d, a = rel.left
-            conjugation[(d.diagonal, a.diagonal)] = rel.right[0].diagonal
-    return commuting, conjugation
+                f"{self.cross_pairs} cross pairs commute: {self.verdict}")
 
 
 def pair_of_pants(m, n):
     """Embed the generator sets of J_m and J_n side by side in J_{m+n}.
 
-    The first factor keeps labels 1..m, the second shifts by m.  Every
-    relation of a factor must reappear verbatim among the relations of
-    the target, and every cross pair must commute (their free parts are
-    disjoint by construction).  Returns the two generator maps and the
-    verification report.
+    The first factor keeps labels 1..m, the second shifts by m; both
+    maps keep generator order.  Every relation of a factor, carried
+    through its map, must be a member of the target's relations, and
+    every cross pair must commute there and under phi (their free parts
+    are disjoint by construction).  Returns the two generator maps and
+    the verification report.
     """
     if m < 3 or n < 3:
         raise RangeError(f"need m, n >= 3, got {m}, {n}")
@@ -289,40 +273,24 @@ def pair_of_pants(m, n):
     map_2 = {g: Generator(target, (g.diagonal[0] + m, g.diagonal[1] + m))
              for g in generators(n + 1)}
     report = PantsReport(m=m, n=n, target=target)
-    commuting, conjugation = _relation_index(relations(target))
-
-    for source_rels, mapping in ((relations(m + 1), map_1),
-                                 (relations(n + 1), map_2)):
-        for rel in source_rels:
+    table = set(relations(target))
+    for source, mapping in ((m + 1, map_1), (n + 1, map_2)):
+        for rel in relations(source):
             report.relations_mapped += 1
-            if rel.kind == "involution":
-                continue
-            left = [mapping[g] for g in rel.left]
-            if rel.kind == "commuting":
-                key = frozenset((left[0].diagonal, left[1].diagonal))
-                if key not in commuting:
-                    report.failures.append(
-                        f"commuting relation {key} lost in J_{target - 1}")
-            else:
-                d, a = left
-                want = mapping[rel.right[0]].diagonal
-                got = conjugation.get((d.diagonal, a.diagonal))
-                if got != want:
-                    report.failures.append(
-                        f"conjugation ({d.diagonal}, {a.diagonal}) maps to "
-                        f"{got}, expected {want}")
-
+            carried = Relation(rel.kind, tuple(mapping[g] for g in rel.left),
+                               tuple(mapping[g] for g in rel.right))
+            if carried not in table:
+                report.failures.append(f"{rel.kind} relation {carried.left} = "
+                                       f"{carried.right} lost in J_{target - 1}")
     for g1 in map_1.values():
         for g2 in map_2.values():
             report.cross_pairs += 1
-            key = frozenset((g1.diagonal, g2.diagonal))
-            if key not in commuting:
-                report.failures.append(
-                    f"cross pair {sorted(key)} has no commuting relation")
+            pair = (g1.diagonal, g2.diagonal)
+            if Relation("commuting", (g1, g2), (g2, g1)) not in table:
+                report.failures.append(f"cross pair {pair} has no commuting relation")
             p, q = phi(g1), phi(g2)
             if p * q != q * p:
-                report.failures.append(
-                    f"cross pair {sorted(key)} fails to commute under phi")
+                report.failures.append(f"cross pair {pair} fails to commute under phi")
     return map_1, map_2, report
 
 

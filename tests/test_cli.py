@@ -305,6 +305,35 @@ def test_quasibraid_export_is_deterministic():
     assert len(out.splitlines()) == 1 + 30
 
 
+# sha256 of export_presentation(n), which `mosaic quasibraid export --n N`
+# prints, and of the stdout of `mosaic quasibraid relations --n N`, frozen
+PRESENTATION_SHA256 = {
+    4: ("487fa655d192a490c47da18bdecc6bd7113f86db5eec5b01bb2d06b6a28eb24d",
+        "8c7e132d522ce29a54b48cfb1a4126503783e4b0bf29b5e800234e5d32403d3f"),
+    5: ("96807e6d2fa9f96dfd252ec00e03a7e15e757528416796d78e1dda13d68238d7",
+        "70e87e56dd4bf5ee49b0de18460625ec2aae20d47848f062f622c2b1987f1fdf"),
+    6: ("abfe24e0b43bbfa0ec68b0054b2fe60ddaf9f121708d1b3143c199fd8a7ad0a3",
+        "7d0fcd373eb53f50b33bb9d7ff19d709bb3166d770731e6862fef1e1adad356e"),
+    7: ("fd1eb942b86b565101a58757b0ba0dc5d7b79f2e72514bc95547555cb64044ae",
+        "b7520a37b4614a23018fedaace6307aaee41ca996ab3a8084ea1d7c22ad8abd0"),
+    8: ("292aa1c6ad760e01148fb079f6552359045cf4d2c7d5213a5ff3f4edbcbe85cf",
+        "d7db4236eed93d45c27061e0fd27f4870cd4ff98c5b8b4e4bfef2a3aca73baf2"),
+    9: ("96e4d0335cecac3d18a75ce55d354c45af1bf7e9c8760866234ad40b986d9261",
+        "b89ee8a911417f5eefd5a0f00dbddeb018b193c7dbcd8e292b35c884d7dc95b2"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(PRESENTATION_SHA256))
+def test_quasibraid_presentation_bytes_are_frozen(n):
+    export_sha, relations_sha = PRESENTATION_SHA256[n]
+    text = quasibraid.export_presentation(n)
+    assert hashlib.sha256(text.encode()).hexdigest() == export_sha
+    assert run_cli("quasibraid", "export", "--n", str(n)) == (0, text, "")
+    code, out, _ = run_cli("quasibraid", "relations", "--n", str(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == relations_sha
+
+
 def test_quasibraid_range_guard():
     code, _, err = run_cli("quasibraid", "gens", "--n", "10")
     assert code == 64

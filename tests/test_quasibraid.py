@@ -1,17 +1,19 @@
 """Generators, relations, the permutation image, juxtaposition."""
 
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from math import comb, factorial
 
 import pytest
 
-from mosaic import quasibraid
+from mosaic import acceptance, quasibraid
 from mosaic.errors import NonBijective, NotSI, RangeError
 from mosaic.polygon import cayley_count
 from mosaic.quasibraid import (
     Generator,
     Permutation,
+    Relation,
     check_phi,
     conjugate_in,
     export_presentation,
@@ -221,6 +223,15 @@ def test_relations_are_the_cactus_relations(n):
     assert as_tuples == _cactus_relations(n)
 
 
+def test_criterion_10_makes_each_table_once():
+    relations.cache_clear()
+    assert acceptance.run_criterion(10, acceptance.ComplexCache()).passed
+    # check_phi for n = 4..9 and the four juxtapositions share six tables
+    assert relations.cache_info().misses == 6
+    table = relations(8)
+    assert isinstance(table, tuple) and relations(8) is table
+
+
 @pytest.mark.parametrize("n", (5, 6, 7))
 def test_every_relation_collapses_under_phi(n):
     for rel in relations(n):
@@ -310,6 +321,30 @@ def test_pair_of_pants_counts(m, n, mapped, cross):
     assert report.passed, report.failures[:3]
     assert report.relations_mapped == mapped
     assert report.cross_pairs == cross
+
+
+def test_pair_of_pants_names_each_relation_missing_from_the_target(monkeypatch):
+    real = quasibraid.relations
+    g = partial(Generator, 8)
+    conjugation = Relation("conjugation", (g((3, 6)), g((3, 5))), (g((4, 6)), g((3, 6))))
+    commuting = Relation("commuting", (g((3, 5)), g((5, 7))), (g((5, 7)), g((3, 5))))
+    cross = Relation("commuting", (g((0, 2)), g((3, 5))), (g((3, 5)), g((0, 2))))
+    dropped = {conjugation, commuting, cross}
+    assert dropped < set(real(8))
+    # the target J_7 loses the three relations; the factors keep theirs
+    monkeypatch.setattr(quasibraid, "relations", lambda n: real(n) if n != 8 else
+                        tuple(rel for rel in real(n) if rel not in dropped))
+    _, _, report = pair_of_pants(3, 4)
+    assert not report.passed
+    assert (report.relations_mapped, report.cross_pairs) == (12, 10)
+    assert report.failures == [
+        f"conjugation relation {conjugation.left} = {conjugation.right} lost in J_7",
+        f"commuting relation {commuting.left} = {commuting.right} lost in J_7",
+        "cross pair ((0, 2), (3, 5)) has no commuting relation",
+    ]
+    assert str(report) == ("juxtaposition J_3 x J_4 -> J_7: 12 relations carried, "
+                           "10 cross pairs commute: 3 FAILURES")
+    assert real(8) is real(8)
 
 
 def test_pair_of_pants_range_guard():
