@@ -111,16 +111,15 @@ def chamber_counts(n):
     """(cones, projective chambers), counted over linear orders.
 
     A chamber of the arrangement is a strict ordering of the n-1
-    coordinates; projectively an ordering and its reversal coincide.
+    coordinates; projectively an ordering and its reversal coincide, so
+    the one counted is the one whose first coordinate is the smaller end.
     """
     if not 4 <= n <= 10:
         raise RangeError(f"chamber enumeration supports 4 <= n <= 10, got {n}")
-    cones = 0
-    projective = 0
+    cones = projective = 0
     for order in permutations(range(1, n)):
         cones += 1
-        if order <= order[::-1]:
-            projective += 1
+        projective += order[0] < order[-1]
     return cones, projective
 
 

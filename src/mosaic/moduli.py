@@ -75,6 +75,7 @@ from .polygon import (
     Dissection,
     _block,
     _diagonal,
+    _flip,
     _rooted_tree,
     cayley_count,
     enumerate_diagonal_sets,
@@ -98,33 +99,14 @@ def _check_mode(mode):
 # twists
 
 
-def _reflect_flap(labels, diagonals, x, y):
-    # reflect the piece of the polygon spanned by the vertex arc x..y
-    # (walking upward mod n); sides x..y-1 reverse, diagonals with both
-    # endpoints on the arc map through v -> x+y-v
-    n = len(labels)
-    span = (y - x) % n
-    new_labels = list(labels)
-    for s in range(span):
-        p = (x + s) % n
-        new_labels[(x + y - 1 - p) % n] = labels[p]
-    out = []
-    for u, v in diagonals:
-        if (u - x) % n <= span and (v - x) % n <= span:
-            u, v = (x + y - u) % n, (x + y - v) % n
-        out.append((u, v) if u < v else (v, u))
-    out.sort()
-    return tuple(new_labels), tuple(out)
-
-
 def twist(diss, d):
-    """Break the polygon along d, reflect the piece on the short arc side.
+    """Break the polygon along d = (i, j) and reflect the piece on vertices i..j.
 
-    The reflected piece is the one spanned by vertices i..j for the
-    sorted diagonal d = (i, j).  Twisting twice along the same diagonal
-    is the exact identity.
+    The sides at positions i..j-1 reverse, however many there are, and
+    so do the diagonals among vertices i..j (`polygon._flip`).  Twisting
+    twice along the same diagonal is the exact identity.
     """
-    labels, diags = _reflect_flap(diss.labels, sorted(diss.diagonals), *diss._own(d))
+    labels, diags = _flip(diss.labels, diss.diagonals, *diss._own(d))
     return Dissection._made(labels, frozenset(diags))
 
 
@@ -133,18 +115,19 @@ def marked_twist(diss, d):
 
     The side labeled n plays the role of the distinguished puncture; the
     reflected piece never contains it, which makes the marked twist an
-    exact involution with a pinned frame.
+    exact involution with a pinned frame.  With side n on positions i..j-1,
+    the twist is followed by the reflection of the whole polygon about the
+    same axis, which puts that piece back and reflects the other in place.
     """
     n = diss.n
     i, j = diss._own(d)
     if n not in diss.labels:
         raise NoInfinitySide(f"no side labeled {n} in {diss.labels!r}")
-    p_inf = diss.labels.index(n)
-    if (p_inf - i) % n < j - i:
-        x, y = j, i            # the marked side sits on positions i..j-1
-    else:
-        x, y = i, j
-    labels, diags = _reflect_flap(diss.labels, sorted(diss.diagonals), x, y)
+    labels, diags = _flip(diss.labels, diss.diagonals, i, j)
+    if i <= diss.labels.index(n) < j:
+        k = (i + j - 1) % n         # side p goes to k-p, vertex v to k+1-v
+        labels = labels[k::-1] + labels[:k:-1]
+        diags = [tuple(sorted(((k + 1 - u) % n, (k + 1 - v) % n))) for u, v in diags]
     return Dissection._made(labels, frozenset(diags))
 
 
@@ -154,7 +137,8 @@ def marked_twist(diss, d):
 # Turn the polygon so the root side sits at position 0 (label 1,
 # projective) or n-1 (label n, double cover), and take the rooted dual
 # tree from polygon's nested blocks (`_rooted_tree`).  Turning a node
-# reverses the order of its units and keeps each unit's content.
+# reverses the order of its units and keeps each unit's content: one
+# flip of its block, then one flip back of each child's (`_Node.turn`).
 
 
 def _root(n, mode):
@@ -223,9 +207,8 @@ def _least_member(diss, mode):
         blocks.append(_block((u, v) if u < v else (v, u), n, root))
     for node in _tree(tuple(sorted(blocks)), n, mode):
         if labels[node.block[0]] > labels[node.last]:
-            labels = node.turned(labels)
-            blocks = [node.moved(blk) for blk in blocks]
-    return tuple(labels), tuple(sorted([_diagonal(blk, n) for blk in blocks]))
+            labels, blocks = node.turn(labels, blocks)
+    return labels, tuple(sorted([_diagonal(blk, n) for blk in blocks]))
 
 
 # ---------------------------------------------------------------------------
@@ -326,11 +309,12 @@ class _Blocks(dict):
         self.n, self._turns = n, {}
 
     def turn(self, node):
-        """A node's turn as a position order and a diagonal move table."""
+        """A node's turn: the position each label comes from, and the number
+        each block of a tree holding the node moves to (`_Node.turn`)."""
         key = node.block, tuple(node.children)     # nodes recur across sets
         if key not in self._turns:
-            self._turns[key] = (node.turned(range(self.n)),
-                                np.array([self[node.moved(blk)] for blk in self], dtype=np.int8))
+            order, moved = node.turn(tuple(range(self.n)), list(self))
+            self._turns[key] = order, np.array([self[blk] for blk in moved], dtype=np.int8)
         return self._turns[key]
 
 

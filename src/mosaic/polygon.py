@@ -17,9 +17,13 @@ once by backtracking and once in closed form.
 A dissection and its dual tree are one object: rooted at a side, the
 diagonals cut off blocks of side positions that nest as the tree's nodes
 do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
-at side 0, `_node_degrees` reads their degrees a grade of faces at a time
-for `associahedron`, and the least-member rule of `moduli` turns their
-nodes.
+at side 0, and `_node_degrees` reads their degrees a grade of faces at a
+time for `associahedron`.
+
+One flip, `_flip`, serves every twist: it reverses a run of sides and
+mirrors the pairs inside it, diagonals and blocks alike.  `moduli`'s
+twists flip along a diagonal, and its least-member rule turns a node
+(`_Node.turn`) by flipping its block, then each child's where it lands.
 """
 
 from __future__ import annotations
@@ -218,7 +222,9 @@ def dihedral_canonical(diss):
     """
     labels = diss.labels
     n = len(labels)
-    keys = [label_sort_key(x) for x in labels]
+    # int labels alone, or str labels alone, order as their keys do
+    plain = set(map(type, labels)) in ({int}, {str})
+    keys = labels if plain else [label_sort_key(x) for x in labels]
     r = keys.index(min(keys))
     after, before = keys[(r + 1) % n], keys[r - 1]
     if after == before:
@@ -245,6 +251,13 @@ def dihedral_canonical(diss):
 # do: a node's units are its child blocks and, between them, single
 # sides, in position order.  The root is side 0 or side n-1, so no block
 # wraps past position n-1.
+
+
+def _flip(labels, pairs, a, b):
+    # the one twist primitive: sides a..b-1 reverse, and each pair inside
+    # a..b, a sorted diagonal or a block of sides, goes to its mirror
+    labels = labels[:a] + labels[a:b][::-1] + labels[b:]
+    return labels, [(a + b - y, a + b - x) if a <= x and y <= b else (x, y) for x, y in pairs]
 
 
 def _block(d, n, root):
@@ -276,23 +289,17 @@ class _Node(NamedTuple):
             return self.children[-1][0]
         return b - 1
 
-    def turned(self, labels):
-        """The labels with the order of this node's units reversed."""
-        a, b = self.block
-        out = list(labels)
-        out[a:b] = labels[a:b][::-1]
-        for x, y in self.children:
-            out[a + b - y:a + b - x] = labels[x:y]
-        return out
+    def turn(self, labels, pairs):
+        """Reverse the order of this node's units, each keeping its content.
 
-    def moved(self, block):
-        """Where a block goes when the node turns: it moves with its unit."""
-        x, y = block
-        for cx, cy in self.children:
-            if cx <= x and y <= cy:
-                shift = self.block[0] + self.block[1] - cx - cy
-                return x + shift, y + shift
-        return block
+        The node's block flips, then each child's block flips back where
+        it lands; pairs are the blocks of a tree holding this node.
+        """
+        a, b = self.block
+        labels, pairs = _flip(labels, pairs, a, b)
+        for x, y in self.children:
+            labels, pairs = _flip(labels, pairs, a + b - y, a + b - x)
+        return labels, pairs
 
 
 def _rooted_tree(blocks, n, root):

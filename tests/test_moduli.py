@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from cells_reference import reference_cells
+from twist_reference import differences as twist_differences
 from mosaic.errors import (
     BadSubsetSize,
     InvariantViolation,
@@ -130,6 +131,14 @@ def test_marked_twist_needs_a_marked_side():
     d = Dissection((1, 2, 3, 5), frozenset({(0, 2)}))
     with pytest.raises(NoInfinitySide):
         marked_twist(d, (0, 2))
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_twists_match_the_window_twists_of_the_closure_reference(n):
+    # every diagonal of every dissection, with side n on each side of each
+    # diagonal: the marked twist's wrapped case is the second labeling
+    bad, made = twist_differences(n, seed=n)
+    assert made and not bad, bad[:3]
 
 
 # ---------------------------------------------------------------------------

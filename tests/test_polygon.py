@@ -314,8 +314,8 @@ def _least_image(diss):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_canonical_is_the_least_of_all_images(n):
-    # every dissection, under shuffled integer labels and under labels
-    # that mix integers and strings
+    # every dissection, under shuffled integer labels, the same as
+    # letters, and labels that mix integers and strings
     rng = random.Random(n)
     labelings = []
     for _ in range(3):
@@ -323,7 +323,7 @@ def test_canonical_is_the_least_of_all_images(n):
         rng.shuffle(ints)
         mixed = [str(x) if rng.random() < 0.5 else x for x in range(n)]
         rng.shuffle(mixed)
-        labelings += [tuple(ints), tuple(mixed)]
+        labelings += [tuple(ints), tuple(chr(96 + x) for x in ints), tuple(mixed)]
     for k in range(n - 2):
         for ds in enumerate_diagonal_sets(n, k):
             for labels in labelings:
