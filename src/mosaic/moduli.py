@@ -20,15 +20,17 @@ the root fixed in the double cover.  Rooting the tree at side 1
 (projective) or side n (double cover), as `polygon` nests the blocks the
 diagonals cut off, the least member is the one in which every node that
 may turn lists its first unit (child block or single side) starting with
-a smaller label than its last.  `cell_class` applies that rule node by
-node.
+a smaller label than its last.  `cell_class`, which needs no complex,
+applies that rule node by node.  Which nodes turn fixes a least member,
+so a grade's flip tables (`_Grade.flips`) give every least member of
+its diagonal sets: one comparison a node moves a labeling from row to
+row, and the last row reads off the least labels and their set.
 
 `build_complex` enumerates every cell of one regime for one n, graded by
 diagonal count (codimension).  Each grade grows from the one above: add
-every compatible diagonal to every cell, then apply the rule to all
-results at once: which nodes turn fixes a least member, so each result
-walks its set's flip tables (`_Grade.flips`), one comparison a node
-(`_least_codes`).  A cell of codimension k lies on
+every compatible diagonal to every cell, then walk all results through
+the grade's flip tables at once (`_least_codes`), which the build makes
+and drops grade by grade.  A cell of codimension k lies on
 exactly 2(k - codim_offset) distinct cells of codimension k-1
 (codim_offset is 1 in a divisor subcomplex), each incidence of
 multiplicity 2^(k-1), so a grade's incidence is one table with a sorted
@@ -40,11 +42,14 @@ of its set.  Each grade is one sorted int64 array of codes, and cells
 are numbered in code order, grade by grade.  `ModuliComplex.decode`, the
 one reader of codes, turns a grade's slice into label rows and set
 indices at once: for `cells`, the covering map, the divisor check and the
-`cli` exports.  `resolve` and `cell_for` encode a cell and find it by one
-search in its grade's codes.  The queries read the codes and the parent
-tables as arrays and make no Cell: divisors, surface recognition, and the
-covering map and the divisor factorization check, which look up all
-their cells at once with `_grow` (`_row_indices`) and push each parent
+`cli` exports.  `resolve` encodes a Cell and finds it by one search in
+its grade's codes.  A lookup makes a grade's flip tables the first time
+it needs them and the complex keeps them (`_lookup`): `cell_for` walks
+them a row at a time for one dissection, then searches as `resolve`
+does.  The queries read the codes and the parent tables as arrays and
+make no Cell: divisors, surface recognition, and the covering map and
+the divisor factorization check, which look up all their cells at once
+with `_grow` on the kept tables (`_row_indices`) and push each parent
 row through the map (`_check_map`).
 """
 
@@ -56,6 +61,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,12 +274,14 @@ class _Grade:
         self._block_id = block_id
 
     def flips(self):
-        """The flip tables ends, weights and turned, row t << m | p for set t.
+        """The flip tables ends, order and turned, row t << m | p for set t.
 
         The bits of p say which of the m nodes of set t's tree, children
         first, have turned.  ends[j] holds the two positions that node j
-        compares then, its first unit's start and its last's, weights each
-        position's weight in the code, and turned the diagonals' set index.
+        compares then, its first unit's start and its last's; order the
+        positions in the order the least member reads their labels; and
+        turned the index of the least member's diagonal set.  turned is
+        int32, the others int8.
         """
         (count, k), n, m = self.ids.shape, self._block_id.n, len(self.trees[0])
         # once p has turned in set t, order[t, p, x] is the position whose
@@ -287,11 +295,9 @@ class _Grade:
             turn, move = map(np.array, zip(*map(self._block_id.turn, nodes)))
             order = np.concatenate([order, order[t, p, turn[:, None]]], axis=1)
             ids = np.concatenate([ids, move[t, ids]], axis=1)
-        order = order.reshape(count << m, n)
-        weights = np.empty(order.shape, dtype=np.int64)
-        weights[np.arange(len(order))[:, None], order] = _label_weights(n) * count
-        masks = (np.int64(1) << ids.reshape(len(order), k)).sum(axis=1)
-        return (np.array(ends, dtype=np.int8).reshape(m, 2, count << m), weights,
+        masks = (np.int64(1) << ids.reshape(count << m, k)).sum(axis=1)
+        return (np.array(ends, dtype=np.int8).reshape(m, 2, count << m),
+                np.ascontiguousarray(order.reshape(count << m, n)),
                 self.set_index(masks).astype(np.int32))
 
     def set_index(self, masks):
@@ -322,8 +328,10 @@ def _least_codes(flips, labels, sets):
     """The codes of the least members of labelings: cell_class's node loop on arrays.
 
     labels holds the labelings and sets their set indices in the grade
-    whose flip tables these are; node j turns where its first label is
-    the greater, which moves the labeling to another row of the tables.
+    whose flip tables these are, with weights, each position's weight in
+    the code, in place of order (_grow).  Node j turns where its first
+    label is the greater, which moves the labeling to another row of the
+    tables.
     """
     ends, weights, turned = flips
     flat, row = labels.ravel(), sets << len(ends)
@@ -341,6 +349,16 @@ def _label_weights(n):
     weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
     weights.flags.writeable = False
     return weights
+
+
+@lru_cache(maxsize=None)
+def _diagonal_bits(n):
+    # entries u * n + v and v * n + u: 1 << the number of the diagonal
+    # (u, v) in polygon_diagonals, so a diagonal set's bit mask is a sum
+    bits = [0] * (n * n)
+    for t, (u, v) in enumerate(polygon_diagonals(n)):
+        bits[u * n + v] = bits[v * n + u] = 1 << t
+    return tuple(bits)
 
 
 def _unpack(codes, n, set_count):
@@ -375,6 +393,26 @@ class _Cells(Sequence):
                 for index, (row, s) in enumerate(zip(labels.tolist(), at.tolist()), lo))
 
 
+class _Table(NamedTuple):
+    """What a complex keeps of a grade that a lookup needed (ModuliComplex._lookup).
+
+    _row_indices hands grade and flips to _grow; cell_for reads the rest.
+    rows takes a diagonal set's bit mask to its first row in the flip
+    tables, s << m; node j compares the labels at positions ends[a + row]
+    and ends[b + row], for (1 << j, a, b) = steps[j], and turns where the
+    first is the greater, which adds 1 << j to the row.  ends, order and
+    turned are the flip tables flattened, as memoryviews.
+    """
+
+    grade: _Grade
+    flips: tuple
+    rows: dict
+    steps: tuple
+    ends: memoryview
+    order: memoryview
+    turned: memoryview
+
+
 class ModuliComplex:
     """All cells of one regime for one n, graded by codimension.
 
@@ -383,7 +421,9 @@ class ModuliComplex:
     grade by grade, and decode reads them back.  The incidence
     between grades k-1 and k is held in levels[k].  A divisor subcomplex
     keeps the ambient codes of its cells, with codim_offset 1: its top
-    cells sit at codimension 1 of the ambient complex.
+    cells sit at codimension 1 of the ambient complex.  A complex also
+    keeps what its lookups make once: each grade's flip tables (_lookup),
+    and the label splits of grade 1 that every divisor reads.
     """
 
     def __init__(self, n, mode, codes, levels, codim_offset=0, divisor_set=None):
@@ -403,15 +443,15 @@ class ModuliComplex:
             self._grades[k] = (memoryview(grade), start, sets,
                                {ds: s for s, ds in enumerate(sets)})
             start += len(grade)
+        self._label_set = frozenset(range(1, n + 1))
+        self._tables, self._grade1_splits = {}, None
 
-    def _index(self, labels, diagonals):
-        # the index of the cell with this least member, or None: its code,
-        # found by one search in its grade; labels are within 1..n
-        grade, code, base = self._grades.get(len(diagonals)), 0, self.n + 1
-        s = grade and grade[3].get(diagonals)
-        if s is None:
-            return None
-        codes, start, sets, _ = grade
+    def _index(self, k, labels, s):
+        # the index of the cell of grade k with these least labels and set
+        # index s, or None: its code, found by one search in the grade;
+        # labels are within 1..n
+        codes, start, sets, _ = self._grades[k]
+        code, base = 0, self.n + 1
         for x in labels:
             code = code * base + x
         code = code * len(sets) + s
@@ -422,13 +462,31 @@ class ModuliComplex:
 
     def _find(self, cell):
         # the index of a Cell; labels outside 1..n would carry in its code
-        labels, index = cell.labels, None
-        if cell.mode == self.mode and len(labels) == self.n \
-                and set(labels) <= set(range(1, self.n + 1)):
-            index = self._index(labels, cell.diagonals)
+        labels, k, index = cell.labels, cell.codim, None
+        if cell.mode == self.mode and len(labels) == self.n and self._label_set.issuperset(labels):
+            grade = self._grades.get(k)
+            s = grade and grade[3].get(cell.diagonals)
+            index = None if s is None else self._index(k, labels, s)
         if index is None:
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
         return index
+
+    def _lookup(self, k):
+        """Grade k's _Table, made the first time a lookup needs the grade and kept.
+
+        build_complex makes its flip tables inside _grow and keeps none.
+        """
+        table = self._tables.get(k)
+        if table is None:
+            grade = _Grade(self.n, self.mode, k, _Blocks(self.n, self.mode))
+            flips = grade.flips()
+            grade._block_id = None      # and with it the turn memo, which only flips reads
+            m, size = len(flips[0]), len(flips[2])
+            table = self._tables[k] = _Table(
+                grade, flips, {mask: s << m for s, mask in enumerate(grade.masks.tolist())},
+                tuple((1 << j, 2 * j * size, (2 * j + 1) * size) for j in range(m)),
+                *(memoryview(a.ravel()) for a in flips))
+        return table
 
     def decode(self, indices):
         """Cells of an index range (step 1), read from their codes a grade's slice at a time.
@@ -480,18 +538,40 @@ class ModuliComplex:
     # -- queries ----------------------------------------------------------
 
     def cell_for(self, diss):
-        """The cell of this complex containing the given dissection."""
-        if diss.n != self.n:
-            raise UnknownCell(f"dissection has {diss.n} sides, complex has {self.n}")
-        labels, diagonals = _least_member(diss, self.mode)
-        index = self._index(labels, diagonals)
-        if index is None:
-            cell = Cell(self.mode, labels, diagonals, 1 << len(diagonals))
+        """The cell of this complex containing the given dissection.
+
+        Its labels and diagonals are turned to the root frame, label 1
+        first (projective) or label n last (double cover), which fixes the
+        row of its diagonal set in the grade's flip tables (_lookup).
+        Each node compares two labels and turns where the first is the
+        greater, which moves to another row; that row reads off the least
+        member's labels and names its diagonal set, whose code is then
+        found in the grade.
+        """
+        n, labels, k = self.n, diss.labels, len(diss.diagonals)
+        if diss.n != n:
+            raise UnknownCell(f"dissection has {diss.n} sides, complex has {n}")
+        if not self._label_set.issuperset(labels):
+            raise UnknownLabel(f"cell classes need labels 1..{n}, got {labels!r}")
+        if k not in self._grades:
+            least, diagonals = _least_member(diss, self.mode)
+            cell = Cell(self.mode, least, diagonals, 1 << k)
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
-        # the grade's own tuple of these diagonals: the copy made here is
-        # freed, so a result adds one tuple, its labels
-        sets, at = self._grades[len(diagonals)][2:]
-        return Cell(self.mode, labels, sets[at[diagonals]], 1 << len(diagonals), index)
+        r = labels.index(1) if self.mode == PROJECTIVE else (labels.index(n) + 1) % n
+        labels, bits = labels[r:] + labels[:r], _diagonal_bits(n)
+        _, _, rows, steps, ends, order, turned = self._lookup(k)
+        row = rows[sum([bits[(u - r) % n * n + (v - r) % n] for u, v in diss.diagonals])]
+        for bit, a, b in steps:
+            if labels[ends[a + row]] > labels[ends[b + row]]:
+                row += bit
+        least, s = tuple([labels[x] for x in order[row * n:row * n + n]]), turned[row]
+        index = self._index(k, least, s)
+        # the grade's own tuple of the diagonals: a result adds one tuple,
+        # its labels
+        cell = Cell(self.mode, least, self._grades[k][2][s], 1 << k, index)
+        if index is None:
+            raise UnknownCell(f"{cell!r} is not a cell of this complex")
+        return cell
 
     def resolve(self, cell):
         """This complex's cell equal to a Cell, found by its code."""
@@ -527,16 +607,24 @@ def _key_shift(k, n, sets, rows):
     return shift
 
 
-def _grow(grade, prev, rows, sets):
+def _grow(grade, prev, rows, sets, flips=None):
     """Add each diagonal of the grade's sets to the cells of grade prev.
 
     rows and sets give those cells' labels and set indices in cell order.
     With no prev the rows' sets are the grade's own and none is added
-    (grade 0: every labeling with the empty set).  Returns one int64 key
-    per result, code << shift | parent: the code of its least member and
-    the row it grew from, in the low shift bits; and shift.
+    (grade 0: every labeling with the empty set).  flips are the grade's
+    flip tables when the caller keeps them; else they are made here and
+    dropped.  Returns one int64 key per result, code << shift | parent:
+    the code of its least member and the row it grew from, in the low
+    shift bits; and shift.
     """
-    shift = _key_shift(grade.ids.shape[1], rows.shape[1], len(grade.sets), len(rows))
+    n = rows.shape[1]
+    compared, order, turned = grade.flips() if flips is None else flips
+    # weights[row, order[row, x]] is the weight of the label read xth
+    weights = np.empty(order.shape, dtype=np.int64)
+    weights[np.arange(len(order))[:, None], order] = _label_weights(n) * len(grade.sets)
+    flips = compared, weights, turned
+    shift = _key_shift(grade.ids.shape[1], n, len(grade.sets), len(rows))
     # each set grows from the sets with one diagonal fewer
     below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
         grade.masks[:, None] - (np.int64(1) << grade.ids))
@@ -546,7 +634,6 @@ def _grow(grade, prev, rows, sets):
     sizes = np.diff(bounds)[below.ravel()]
     ends = np.cumsum(sizes)
     offset = bounds[below.ravel()] - (ends - sizes)   # result i of run r: by_set[offset[r] + i]
-    flips = grade.flips()
     keys = np.empty(ends[-1], dtype=np.int64)
     for lo in range(0, len(keys), _SLICE):
         at = np.arange(lo, min(lo + _SLICE, len(keys)))
@@ -654,28 +741,27 @@ def _row_indices(target, rows, counts, ends):
     number of diagonals and ends its diagonals, row after row.  Each row
     is turned so label 1 comes first, with its diagonals turned along and
     numbered by polygon_diagonals into a bit mask.  The rows of each
-    grade go through _grow with their own sets, and their least members'
-    codes are found among the target's by one searchsorted per grade.
+    grade go through _grow with their own sets and the flip tables the
+    target keeps (ModuliComplex._lookup), and their least members' codes
+    are found among the target's by one searchsorted per grade.
     UnknownCell names the first row that lies in no cell of the target.
     """
     n = target.n
-    block_id = _Blocks(n, PROJECTIVE)
     r = np.argmax(rows == 1, axis=1).astype(np.int8)
     # row i turned is window r[i] of row i written out twice
     windows = np.lib.stride_tricks.sliding_window_view(np.hstack([rows, rows]), n, axis=1)
     turned = windows[np.arange(len(rows)), r]
     turned_ends = (ends - np.repeat(r, counts)[:, None]) % n
-    number = np.zeros((n, n), dtype=np.int8)
-    for t, (u, v) in enumerate(polygon_diagonals(n)):
-        number[u, v] = number[v, u] = t
     masks = np.zeros(len(rows), dtype=np.int64)
     np.bitwise_or.at(masks, np.repeat(np.arange(len(rows), dtype=np.int32), counts),
-                     np.int64(1) << number[turned_ends[:, 0], turned_ends[:, 1]])
+                     np.array(_diagonal_bits(n))[turned_ends[:, 0] * n + turned_ends[:, 1]])
     found = np.full(len(rows), -1, dtype=np.int64)
     for k, (start, end) in target.grade_range.items():
-        grade = _Grade(n, PROJECTIVE, k, block_id)
         mine = np.flatnonzero(counts == k)
-        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]))
+        if not len(mine):
+            continue
+        grade, flips = target._lookup(k)[:2]
+        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]), flips)
         codes, mine, own = keys >> shift, mine[keys & ((1 << shift) - 1)], target._codes[k]
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
@@ -848,7 +934,9 @@ def divisor_subcomplex(complex_, subset):
     # a grade-1 cell carries the split when the labels on one side of its
     # one diagonal are S or its complement
     start, end = complex_.grade_range[1]
-    _, split = _splits(*_cell_rows(complex_, range(start, end)))
+    if complex_._grade1_splits is None:         # decoded once, for every divisor
+        complex_._grade1_splits = _splits(*_cell_rows(complex_, range(start, end)))[1]
+    split = complex_._grade1_splits
     mask = sum(1 << x for x in S)
     inside = np.zeros(len(complex_.cells), dtype=bool)
     inside[start:end] = (split == mask) | (split == (1 << n + 1) - 2 - mask)

@@ -7,10 +7,13 @@ nodes of a rooted dual tree one at a time (`moduli._least_member`).
 of the n-gon through `_grow` and compares each code with the code of
 `_least_member`.  It also packs the largest sampled code of each grade
 with the parent field of the full build's keys, whose width the closed
-form fixes, and unpacks it again.
+form fixes, and unpacks it again.  `lookup_differences` compares
+`ModuliComplex.cell_for`, which reads the flip tables a row at a time,
+with `cell_class` on seeded dissections of every grade of a complex.
 
-Run as a script, `python tests/least_reference.py N` compares them at
-the n given, in both regimes, and exits 1 on any difference.
+Run as a script, `python tests/least_reference.py N` compares the codes
+at the n given, in both regimes, and for n <= 8 also builds both
+complexes and compares their lookups; it exits 1 on any difference.
 """
 
 import random
@@ -19,7 +22,9 @@ from math import factorial
 
 import numpy as np
 
+from mosaic.errors import MosaicError
 from mosaic.moduli import (
+    _BUILD_LIMIT,
     DOUBLE_COVER,
     PROJECTIVE,
     _Blocks,
@@ -27,9 +32,31 @@ from mosaic.moduli import (
     _grow,
     _key_shift,
     _least_member,
+    build_complex,
+    cell_class,
     closed_form_f_vector,
 )
 from mosaic.polygon import Dissection
+
+
+def random_dissection(rng, n, k):
+    """Labels 1..n in random order and k diagonals of a random triangulation."""
+    labels = list(range(1, n + 1))
+    rng.shuffle(labels)
+    triangulation = []
+    stack = [list(range(n))]
+    while stack:
+        vs = stack.pop()
+        if len(vs) < 4:
+            continue
+        apex = rng.randrange(1, len(vs) - 1)
+        if apex > 1:
+            triangulation.append((vs[0], vs[apex]))
+        if apex < len(vs) - 2:
+            triangulation.append((vs[apex], vs[-1]))
+        stack.append(vs[:apex + 1])
+        stack.append(vs[apex:])
+    return Dissection(tuple(labels), frozenset(rng.sample(triangulation, k)))
 
 
 def sample_labelings(rng, n, mode, count):
@@ -81,6 +108,29 @@ def differences(n, mode, samples, seed=0):
     return bad, bits
 
 
+def lookup_differences(complex_, samples, seed=0):
+    """The sampled dissections whose cell_for differs from cell_class.
+
+    samples seeded dissections per grade of the complex; a lookup differs
+    when it raises, or when its labels, diagonals or size differ from
+    cell_class's, or the cell at its index does.
+    """
+    rng, bad = random.Random(seed), []
+    for k in complex_.grade_range:
+        for _ in range(samples):
+            diss = random_dissection(rng, complex_.n, k)
+            want = cell_class(diss, complex_.mode)
+            try:
+                got = complex_.cell_for(diss)
+            except MosaicError as err:
+                got = err
+            if isinstance(got, MosaicError) or complex_.cells[got.index] != want \
+                    or (got.labels, got.diagonals, got.size) != (want.labels, want.diagonals,
+                                                                 want.size):
+                bad.append(f"{diss}: cell_for gives {got!r}, cell_class {want}")
+    return bad
+
+
 if __name__ == "__main__":
     failed = False
     for arg in sys.argv[1:]:
@@ -90,4 +140,10 @@ if __name__ == "__main__":
             failed = failed or bool(bad)
             print(f"n = {n} {mode}: {len(bad)} codes differ from the rule; "
                   f"keys of up to {max(bits.values())} bits", *bad[:3], sep="\n  ")
+            if n <= _BUILD_LIMIT:
+                complex_ = build_complex(n, mode)
+                bad = lookup_differences(complex_, samples=500, seed=n)
+                failed = failed or bool(bad)
+                print(f"n = {n} {mode}: {len(bad)} of {500 * len(complex_.grade_range)} "
+                      f"cell_for lookups differ from cell_class", *bad[:3], sep="\n  ")
     sys.exit(1 if failed else 0)

@@ -1,38 +1,20 @@
 """The least-member rule against twist closure, the definition of a class."""
 
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from closure_reference import closure_build, closure_cell_class
-from least_reference import differences
+from least_reference import differences, random_dissection
 from mosaic import moduli
-from mosaic.errors import InvariantViolation
+from mosaic.acceptance import ComplexCache, _c07_divisors
+from mosaic.errors import InvariantViolation, MosaicError, UnknownCell, UnknownLabel
 from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, cell_class, marked_twist, twist
 from mosaic.polygon import Dissection
 
 MODES = (PROJECTIVE, DOUBLE_COVER)
-
-
-def random_dissection(rng, n, k):
-    """Labels 1..n in random order and k diagonals of a random triangulation."""
-    labels = list(range(1, n + 1))
-    rng.shuffle(labels)
-    triangulation = []
-    stack = [list(range(n))]
-    while stack:
-        vs = stack.pop()
-        if len(vs) < 4:
-            continue
-        apex = rng.randrange(1, len(vs) - 1)
-        if apex > 1:
-            triangulation.append((vs[0], vs[apex]))
-        if apex < len(vs) - 2:
-            triangulation.append((vs[apex], vs[-1]))
-        stack.append(vs[:apex + 1])
-        stack.append(vs[apex:])
-    return Dissection(tuple(labels), frozenset(rng.sample(triangulation, k)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -136,3 +118,99 @@ def test_build_checks_that_each_cell_has_2k_distinct_parents(mode, monkeypatch):
     with pytest.raises(InvariantViolation,
                        match=r"^grade 1: cell \d+ is reached more than once from cell \d+$"):
         moduli.build_complex(5, mode)
+
+
+def dihedral_image(diss, rotation, reflect):
+    """diss moved back by rotation positions, after an optional reflection."""
+    n, labels, diagonals = diss.n, diss.labels, diss.diagonals
+    if reflect:
+        # side p goes to n-1-p, vertex v to n-v
+        labels, diagonals = labels[::-1], [((n - u) % n, (n - v) % n) for u, v in diagonals]
+    return Dissection(labels[rotation:] + labels[:rotation],
+                      frozenset(((u - rotation) % n, (v - rotation) % n) for u, v in diagonals))
+
+
+@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_cell_for_matches_cell_class_on_random_dissections(n, mode, cache):
+    # the flip-table lookup against the node-by-node rule, every field,
+    # on seeded dissections, their dihedral images and their twists
+    complex_, rng = cache.full(n, mode), random.Random(7000 + n)
+    for k in range(n - 2):
+        for _ in range(40):
+            diss = random_dissection(rng, n, k)
+            image = dihedral_image(diss, rng.randrange(n), rng.random() < 0.5)
+            moved = [diss, image]
+            if k:
+                d = rng.choice(sorted(diss.diagonals))
+                moved += [twist(diss, d), marked_twist(diss, d)]
+            for d in moved:
+                got, want = complex_.cell_for(d), complex_.resolve(cell_class(d, mode))
+                assert (got.mode, got.labels, got.diagonals, got.size, got.index) \
+                    == (want.mode, want.labels, want.diagonals, want.size, want.index), d
+                assert got.diagonals is complex_.cells[got.index].diagonals, d
+
+
+def _unknown_cell(complex_, diss, mode):
+    # cell_for raises UnknownCell itself, naming the least member
+    with pytest.raises(MosaicError) as info:
+        complex_.cell_for(diss)
+    assert type(info.value) is UnknownCell
+    assert not isinstance(info.value, (KeyError, IndexError))
+    assert str(info.value) == f"{cell_class(diss, mode)!r} is not a cell of this complex"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cell_for_raises_unknown_cell_past_max_codim(mode):
+    shallow, rng = moduli.build_complex(6, mode, max_codim=1), random.Random(6)
+    for k in (2, 3):
+        for _ in range(5):
+            _unknown_cell(shallow, random_dissection(rng, 6, k), mode)
+    diss = random_dissection(rng, 6, 1)
+    assert shallow.cell_for(diss) == cell_class(diss, mode)
+
+
+def test_cell_for_raises_unknown_cell_outside_a_divisor(cache):
+    sub = moduli.divisor_subcomplex(cache.full(6), {1, 2})
+    # grade 0 is not in a divisor; (0, 2) cuts off 3 and 4, not 1 and 2
+    _unknown_cell(sub, Dissection((1, 2, 3, 4, 5, 6)), PROJECTIVE)
+    _unknown_cell(sub, Dissection((3, 1, 4, 2, 5, 6), frozenset({(0, 2)})), PROJECTIVE)
+    # (1, 3) cuts off 1 and 2 in both
+    for diagonals in ({(1, 3)}, {(1, 3), (3, 5)}):
+        diss = Dissection((3, 1, 2, 4, 5, 6), frozenset(diagonals))
+        cell = sub.cell_for(diss)
+        want = sub.resolve(cell_class(diss, PROJECTIVE))
+        assert (cell.labels, cell.diagonals, cell.index) == (want.labels, want.diagonals,
+                                                              want.index)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_cell_for_raises_unknown_label_outside_1_to_n(mode, cache):
+    complex_ = cache.full(5, mode)
+    for labels in ((0, 1, 2, 3, 4), (1, 2, 3, 4, 6), ("a", "b", "c", "d", "e")):
+        with pytest.raises(UnknownLabel):
+            complex_.cell_for(Dissection(labels, frozenset({(0, 2)})))
+
+
+def test_lookups_make_each_grade_flip_tables_once(monkeypatch):
+    # two covering maps and criterion 7's 35 divisor checks make each
+    # lookup complex's tables once; the builds, made first, are not counted
+    cover, projective = moduli.build_complex(7, DOUBLE_COVER), moduli.build_complex(7)
+    factors = ComplexCache()
+    for n in (3, 4, 5, 6):
+        factors.full(n)
+    made, flips = Counter(), moduli._Grade.flips
+
+    def counted(grade):
+        # a grade of one complex: n, the nodes that may turn and k
+        made[grade._block_id.n, len(grade.trees[0]), grade.ids.shape[1]] += 1
+        return flips(grade)
+
+    monkeypatch.setattr(moduli._Grade, "flips", counted)
+    for _ in range(2):
+        assert moduli.covering_map(cover, projective).passed
+    assert made == {(7, k + 1, k): 1 for k in range(5)}
+    passed, detail, _ = _c07_divisors(factors, 6)
+    assert passed and detail.startswith("35 divisor classes"), detail
+    assert max(made.values()) == 1
+    assert {(n, k + 1, k) for n in (3, 4, 5) for k in range(n - 2)} <= set(made)
