@@ -22,15 +22,15 @@ diagonals cut off, the least member is the one in which every node that
 may turn lists its first unit (child block or single side) starting with
 a smaller label than its last.  `cell_class`, which needs no complex,
 applies that rule node by node.  Which nodes turn fixes a least member,
-so a grade's flip tables (`_Grade.flips`) give every least member of
+so the flip tables a grade's `_Grade` makes give every least member of
 its diagonal sets: one comparison a node moves a labeling from row to
 row, and the last row reads off the least labels and their set.
 
 `build_complex` enumerates every cell of one regime for one n, graded by
 diagonal count (codimension).  Each grade grows from the one above: add
 every compatible diagonal to every cell, then walk all results through
-the grade's flip tables at once (`_least_codes`), which the build makes
-and drops grade by grade.  A cell of codimension k lies on
+the grade's flip tables at once (`_least_codes`); the build drops a
+grade's tables once it has grown.  A cell of codimension k lies on
 exactly 2(k - codim_offset) distinct cells of codimension k-1
 (codim_offset is 1 in a divisor subcomplex), each incidence of
 multiplicity 2^(k-1), so a grade's incidence is one table with a sorted
@@ -43,14 +43,14 @@ are numbered in code order, grade by grade.  `ModuliComplex.decode`, the
 one reader of codes, turns a grade's slice into label rows and set
 indices at once: for `cells`, the covering map, the divisor check and the
 `cli` exports.  `resolve` encodes a Cell and finds it by one search in
-its grade's codes.  A lookup makes a grade's flip tables the first time
-it needs them and the complex keeps them (`_lookup`): `cell_for` walks
-them a row at a time for one dissection, then searches as `resolve`
-does.  The queries read the codes and the parent tables as arrays and
-make no Cell: divisors, surface recognition, and the covering map and
-the divisor factorization check, which look up all their cells at once
-with `_grow` on the kept tables (`_row_indices`) and push each parent
-row through the map (`_check_map`).
+its grade's codes.  A lookup makes a `_Grade` the first time it needs
+the grade, and the complex keeps it with its tables (`_lookup`):
+`cell_for` walks them a row at a time for one dissection, then searches
+as `resolve` does.  The queries read the codes and the parent tables as
+arrays and make no Cell: divisors, surface recognition, and the
+covering map and the divisor factorization check, which look up all
+their cells at once with `_grow` on the kept grades (`_row_indices`)
+and push each parent row through the map (`_check_map`).
 """
 
 from __future__ import annotations
@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, permutations
 from math import factorial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -155,8 +154,9 @@ def _root(n, mode):
 def _tree(blocks, n, mode):
     # the nodes that may turn, children before parents: one per block
     # first, then the projective root; the double cover's root never
-    # turns.  Cached, as a query meets the same few diagonal sets again
-    # and again: callers pass a tuple and do not change the nodes.
+    # turns.  Cached, as every _Grade of one n and mode (the build's and
+    # each lookup complex's) and cell_class meet the same diagonal sets:
+    # callers pass a tuple and do not change the nodes.
     nodes = _rooted_tree(blocks, n, _root(n, mode))
     return nodes[:-1] if mode == DOUBLE_COVER else nodes
 
@@ -255,50 +255,58 @@ def _labelings(n, mode):
 
 
 class _Grade:
-    """The diagonal sets of one grade with their rooted dual trees.
+    """The diagonal sets of one grade and their flip tables.
 
     Each diagonal is numbered by its place in polygon_diagonals, so a
-    diagonal set is also a bit mask.
+    diagonal set is also a bit mask.  The flip tables have a row
+    t << m | p for set t, whose tree's m nodes, children first, have
+    turned where the bits of p are set.  flips holds the tables ends,
+    weights and turned, which _least_codes walks: ends[j] the two
+    positions that node j compares then, its first unit's start and its
+    last's; weights each position's weight in the code of the least
+    member; and turned the index of the least member's diagonal set.
+    order holds the positions in the order the least member reads their
+    labels.  ends and order are int8, weights int64 and turned int32.
+
+    cell_for reads the rest: first_row takes a set's bit mask to its
+    first row, s << m; node j compares the labels at positions
+    ends[a + row] and ends[b + row], for (1 << j, a, b) = steps[j], and
+    turns where the first is the greater, which adds 1 << j to the row.
+    flat holds ends, order and turned flattened, as memoryviews.
     """
 
     def __init__(self, n, mode, k, block_id):
         self.sets = enumerate_diagonal_sets(n, k)
-        self.trees = [_tree(tuple(_block(d, n, _root(n, mode)) for d in ds), n, mode)
-                      for ds in self.sets]
+        trees = [_tree(tuple(_block(d, n, _root(n, mode)) for d in ds), n, mode)
+                 for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
-        self.ids = np.array([[block_id[node.block] for node in tree[:k]]
-                             for tree in self.trees],
+        self.ids = np.array([[block_id[node.block] for node in tree[:k]] for tree in trees],
                             dtype=np.int8).reshape(len(self.sets), k)
         self.masks = (np.int64(1) << self.ids).sum(axis=1)
         self._by_mask = np.argsort(self.masks)
-        self._block_id = block_id
-
-    def flips(self):
-        """The flip tables ends, order and turned, row t << m | p for set t.
-
-        The bits of p say which of the m nodes of set t's tree, children
-        first, have turned.  ends[j] holds the two positions that node j
-        compares then, its first unit's start and its last's; order the
-        positions in the order the least member reads their labels; and
-        turned the index of the least member's diagonal set.  turned is
-        int32, the others int8.
-        """
-        (count, k), n, m = self.ids.shape, self._block_id.n, len(self.trees[0])
+        count, m = len(self.sets), len(trees[0])
+        size = count << m
         # once p has turned in set t, order[t, p, x] is the position whose
         # label sits at x and ids[t, p] holds the numbers of the diagonals
         order = np.broadcast_to(np.arange(n, dtype=np.int8), (count, 1, n))
         ids, ends, t = self.ids[:, None], [], np.arange(count)[:, None, None]
         for j in range(m):
-            nodes, p = [tree[j] for tree in self.trees], np.arange(1 << j)[:, None]
+            nodes, p = [tree[j] for tree in trees], np.arange(1 << j)[:, None]
             at = np.array([(node.block[0], node.last) for node in nodes])[:, None]
             ends.append(np.tile(order[t, p, at].transpose(2, 0, 1), 1 << (m - j)))
-            turn, move = map(np.array, zip(*map(self._block_id.turn, nodes)))
+            turn, move = map(np.array, zip(*map(block_id.turn, nodes)))
             order = np.concatenate([order, order[t, p, turn[:, None]]], axis=1)
             ids = np.concatenate([ids, move[t, ids]], axis=1)
-        masks = (np.int64(1) << ids.reshape(count << m, k)).sum(axis=1)
-        return (np.array(ends, dtype=np.int8).reshape(m, 2, count << m),
-                np.ascontiguousarray(order.reshape(count << m, n)),
-                self.set_index(masks).astype(np.int32))
+        ends = np.array(ends, dtype=np.int8).reshape(m, 2, size)
+        self.order = np.ascontiguousarray(order.reshape(size, n))
+        # weights[row, order[row, x]] is the weight of the label read xth
+        weights = np.empty(self.order.shape, dtype=np.int64)
+        weights[np.arange(size)[:, None], self.order] = _label_weights(n) * count
+        turned = self.set_index((np.int64(1) << ids.reshape(size, k)).sum(axis=1))
+        self.flips = ends, weights, turned.astype(np.int32)
+        self.first_row = {mask: s << m for s, mask in enumerate(self.masks.tolist())}
+        self.steps = tuple((1 << j, 2 * j * size, (2 * j + 1) * size) for j in range(m))
+        self.flat = tuple(memoryview(a.ravel()) for a in (ends, self.order, self.flips[2]))
 
     def set_index(self, masks):
         """The indices of the diagonal sets with these bit masks (any, for others)."""
@@ -328,10 +336,9 @@ def _least_codes(flips, labels, sets):
     """The codes of the least members of labelings: cell_class's node loop on arrays.
 
     labels holds the labelings and sets their set indices in the grade
-    whose flip tables these are, with weights, each position's weight in
-    the code, in place of order (_grow).  Node j turns where its first
-    label is the greater, which moves the labeling to another row of the
-    tables.
+    whose flip tables these are (_Grade.flips).  Node j turns where its
+    first label is the greater, which moves the labeling to another row
+    of the tables.
     """
     ends, weights, turned = flips
     flat, row = labels.ravel(), sets << len(ends)
@@ -393,26 +400,6 @@ class _Cells(Sequence):
                 for index, (row, s) in enumerate(zip(labels.tolist(), at.tolist()), lo))
 
 
-class _Table(NamedTuple):
-    """What a complex keeps of a grade that a lookup needed (ModuliComplex._lookup).
-
-    _row_indices hands grade and flips to _grow; cell_for reads the rest.
-    rows takes a diagonal set's bit mask to its first row in the flip
-    tables, s << m; node j compares the labels at positions ends[a + row]
-    and ends[b + row], for (1 << j, a, b) = steps[j], and turns where the
-    first is the greater, which adds 1 << j to the row.  ends, order and
-    turned are the flip tables flattened, as memoryviews.
-    """
-
-    grade: _Grade
-    flips: tuple
-    rows: dict
-    steps: tuple
-    ends: memoryview
-    order: memoryview
-    turned: memoryview
-
-
 class ModuliComplex:
     """All cells of one regime for one n, graded by codimension.
 
@@ -422,8 +409,8 @@ class ModuliComplex:
     between grades k-1 and k is held in levels[k].  A divisor subcomplex
     keeps the ambient codes of its cells, with codim_offset 1: its top
     cells sit at codimension 1 of the ambient complex.  A complex also
-    keeps what its lookups make once: each grade's flip tables (_lookup),
-    and the label splits of grade 1 that every divisor reads.
+    keeps what its lookups make once: each grade with its flip tables
+    (_lookup), and the label splits of grade 1 that every divisor reads.
     """
 
     def __init__(self, n, mode, codes, levels, codim_offset=0, divisor_set=None):
@@ -472,21 +459,10 @@ class ModuliComplex:
         return index
 
     def _lookup(self, k):
-        """Grade k's _Table, made the first time a lookup needs the grade and kept.
-
-        build_complex makes its flip tables inside _grow and keeps none.
-        """
-        table = self._tables.get(k)
-        if table is None:
-            grade = _Grade(self.n, self.mode, k, _Blocks(self.n, self.mode))
-            flips = grade.flips()
-            grade._block_id = None      # and with it the turn memo, which only flips reads
-            m, size = len(flips[0]), len(flips[2])
-            table = self._tables[k] = _Table(
-                grade, flips, {mask: s << m for s, mask in enumerate(grade.masks.tolist())},
-                tuple((1 << j, 2 * j * size, (2 * j + 1) * size) for j in range(m)),
-                *(memoryview(a.ravel()) for a in flips))
-        return table
+        """Grade k's _Grade, made the first time a lookup needs it and kept."""
+        if k not in self._tables:
+            self._tables[k] = _Grade(self.n, self.mode, k, _Blocks(self.n, self.mode))
+        return self._tables[k]
 
     def decode(self, indices):
         """Cells of an index range (step 1), read from their codes a grade's slice at a time.
@@ -559,9 +535,11 @@ class ModuliComplex:
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
         r = labels.index(1) if self.mode == PROJECTIVE else (labels.index(n) + 1) % n
         labels, bits = labels[r:] + labels[:r], _diagonal_bits(n)
-        _, _, rows, steps, ends, order, turned = self._lookup(k)
-        row = rows[sum([bits[(u - r) % n * n + (v - r) % n] for u, v in diss.diagonals])]
-        for bit, a, b in steps:
+        grade = self._lookup(k)
+        ends, order, turned = grade.flat
+        row = grade.first_row[sum([bits[(u - r) % n * n + (v - r) % n]
+                                   for u, v in diss.diagonals])]
+        for bit, a, b in grade.steps:
             if labels[ends[a + row]] > labels[ends[b + row]]:
                 row += bit
         least, s = tuple([labels[x] for x in order[row * n:row * n + n]]), turned[row]
@@ -607,23 +585,17 @@ def _key_shift(k, n, sets, rows):
     return shift
 
 
-def _grow(grade, prev, rows, sets, flips=None):
+def _grow(grade, prev, rows, sets):
     """Add each diagonal of the grade's sets to the cells of grade prev.
 
     rows and sets give those cells' labels and set indices in cell order.
     With no prev the rows' sets are the grade's own and none is added
-    (grade 0: every labeling with the empty set).  flips are the grade's
-    flip tables when the caller keeps them; else they are made here and
-    dropped.  Returns one int64 key per result, code << shift | parent:
-    the code of its least member and the row it grew from, in the low
-    shift bits; and shift.
+    (grade 0: every labeling with the empty set).  Returns one int64 key
+    per result, code << shift | parent: the code of its least member, from
+    the grade's flip tables, and the row it grew from, in the low shift
+    bits; and shift.
     """
     n = rows.shape[1]
-    compared, order, turned = grade.flips() if flips is None else flips
-    # weights[row, order[row, x]] is the weight of the label read xth
-    weights = np.empty(order.shape, dtype=np.int64)
-    weights[np.arange(len(order))[:, None], order] = _label_weights(n) * len(grade.sets)
-    flips = compared, weights, turned
     shift = _key_shift(grade.ids.shape[1], n, len(grade.sets), len(rows))
     # each set grows from the sets with one diagonal fewer
     below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
@@ -639,7 +611,7 @@ def _grow(grade, prev, rows, sets, flips=None):
         at = np.arange(lo, min(lo + _SLICE, len(keys)))
         run = np.searchsorted(ends, at, side="right")
         parent = by_set[offset[run] + at]
-        code = _least_codes(flips, rows[parent], run // below.shape[1])
+        code = _least_codes(grade.flips, rows[parent], run // below.shape[1])
         keys[lo:lo + _SLICE] = code << shift | parent
     return keys, shift
 
@@ -710,6 +682,7 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
     for k in range(top + 1):
         grade = _Grade(n, mode, k, block_id)
         keys, shift = _grow(grade, prev, rows, sets)
+        grade.flips = grade.order = grade.flat = None      # prev lives on while the next grows
         del rows, sets
         # one sort gives the cells, the first code of each run of equal
         # codes; the runs' lengths; and, in the same order, their parents,
@@ -741,8 +714,8 @@ def _row_indices(target, rows, counts, ends):
     number of diagonals and ends its diagonals, row after row.  Each row
     is turned so label 1 comes first, with its diagonals turned along and
     numbered by polygon_diagonals into a bit mask.  The rows of each
-    grade go through _grow with their own sets and the flip tables the
-    target keeps (ModuliComplex._lookup), and their least members' codes
+    grade go through _grow with their own sets and the grade the target
+    keeps (ModuliComplex._lookup), and their least members' codes
     are found among the target's by one searchsorted per grade.
     UnknownCell names the first row that lies in no cell of the target.
     """
@@ -760,8 +733,8 @@ def _row_indices(target, rows, counts, ends):
         mine = np.flatnonzero(counts == k)
         if not len(mine):
             continue
-        grade, flips = target._lookup(k)[:2]
-        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]), flips)
+        grade = target._lookup(k)
+        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]))
         codes, mine, own = keys >> shift, mine[keys & ((1 << shift) - 1)], target._codes[k]
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)

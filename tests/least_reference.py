@@ -1,15 +1,17 @@
 """The least-member rule in Python: the reference for the flip tables.
 
-`build_complex` finds least members by walking each grade's flip tables
-(`moduli._Grade.flips`, `moduli._least_codes`); `cell_class` turns the
-nodes of a rooted dual tree one at a time (`moduli._least_member`).
+`build_complex` finds least members by walking each grade's flip
+tables, which a `moduli._Grade` makes once (`_Grade.flips`,
+`moduli._least_codes`); `cell_class` turns the nodes of a rooted dual
+tree one at a time (`moduli._least_member`).
 `differences` pushes a seeded sample of labelings on every diagonal set
 of the n-gon through `_grow` and compares each code with the code of
 `_least_member`.  It also packs the largest sampled code of each grade
 with the parent field of the full build's keys, whose width the closed
 form fixes, and unpacks it again.  `lookup_differences` compares
-`ModuliComplex.cell_for`, which reads the flip tables a row at a time,
-with `cell_class` on seeded dissections of every grade of a complex.
+`ModuliComplex.cell_for`, which reads the tables of the grades its
+complex keeps a row at a time, with `cell_class` on seeded dissections
+of every grade of a complex.
 
 Run as a script, `python tests/least_reference.py N` compares the codes
 at the n given, in both regimes, and for n <= 8 also builds both

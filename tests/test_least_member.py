@@ -194,19 +194,19 @@ def test_cell_for_raises_unknown_label_outside_1_to_n(mode, cache):
 
 def test_lookups_make_each_grade_flip_tables_once(monkeypatch):
     # two covering maps and criterion 7's 35 divisor checks make each
-    # lookup complex's tables once; the builds, made first, are not counted
+    # lookup complex's grades once; the builds, made first, are not counted
     cover, projective = moduli.build_complex(7, DOUBLE_COVER), moduli.build_complex(7)
     factors = ComplexCache()
     for n in (3, 4, 5, 6):
         factors.full(n)
-    made, flips = Counter(), moduli._Grade.flips
+    made, init = Counter(), moduli._Grade.__init__
 
-    def counted(grade):
+    def counted(grade, n, mode, k, block_id):
         # a grade of one complex: n, the nodes that may turn and k
-        made[grade._block_id.n, len(grade.trees[0]), grade.ids.shape[1]] += 1
-        return flips(grade)
+        init(grade, n, mode, k, block_id)
+        made[n, len(grade.flips[0]), k] += 1
 
-    monkeypatch.setattr(moduli._Grade, "flips", counted)
+    monkeypatch.setattr(moduli._Grade, "__init__", counted)
     for _ in range(2):
         assert moduli.covering_map(cover, projective).passed
     assert made == {(7, k + 1, k): 1 for k in range(5)}
@@ -214,3 +214,20 @@ def test_lookups_make_each_grade_flip_tables_once(monkeypatch):
     assert passed and detail.startswith("35 divisor classes"), detail
     assert max(made.values()) == 1
     assert {(n, k + 1, k) for n in (3, 4, 5) for k in range(n - 2)} <= set(made)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_the_build_keeps_no_flip_tables(mode, monkeypatch):
+    # each grade's tables are dropped once it has grown, before the grade
+    # below grows from it, and the complex keeps none
+    grow, seen = moduli._grow, []
+
+    def watched(grade, prev, *args):
+        seen.append((grade.flips is not None,
+                     prev and (prev.flips, prev.order, prev.flat)))
+        return grow(grade, prev, *args)
+
+    monkeypatch.setattr(moduli, "_grow", watched)
+    complex_ = moduli.build_complex(6, mode)
+    assert complex_._tables == {}
+    assert seen == [(True, None)] + [(True, (None, None, None))] * 3
