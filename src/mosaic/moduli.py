@@ -48,9 +48,9 @@ the grade, and the complex keeps it with its tables (`_lookup`):
 `cell_for` walks them a row at a time for one dissection, then searches
 as `resolve` does.  The queries read the codes and the parent tables as
 arrays and make no Cell: divisors, surface recognition, and the
-covering map and the divisor factorization check, which look up all
-their cells at once with `_grow` on the kept grades (`_row_indices`)
-and push each parent row through the map (`_check_map`).
+covering map and the divisor factorization check, which walk all their
+cells through the kept grades' tables (`_row_indices`, with
+`_least_codes`) and push each parent row through the map (`_check_map`).
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import combinations, permutations
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -81,6 +81,7 @@ from .polygon import (
     _block,
     _diagonal,
     _flip,
+    _Node,
     _rooted_tree,
     cayley_count,
     enumerate_diagonal_sets,
@@ -92,7 +93,7 @@ DOUBLE_COVER = "double-cover"
 _MODES = (PROJECTIVE, DOUBLE_COVER)
 
 _BUILD_LIMIT = 8
-_SLICE = 2048       # the results _grow walks through the flip tables at once
+_SLICE = 2048       # the rows walked through the flip tables at once
 
 
 def _check_mode(mode):
@@ -155,8 +156,9 @@ def _tree(blocks, n, mode):
     # the nodes that may turn, children before parents: one per block
     # first, then the projective root; the double cover's root never
     # turns.  Cached, as every _Grade of one n and mode (the build's and
-    # each lookup complex's) and cell_class meet the same diagonal sets:
-    # callers pass a tuple and do not change the nodes.
+    # each lookup complex's) and cell_class meet the same diagonal sets,
+    # as _blocks and _turn are for the same _Grades: callers pass a
+    # tuple and do not change the nodes.
     nodes = _rooted_tree(blocks, n, _root(n, mode))
     return nodes[:-1] if mode == DOUBLE_COVER else nodes
 
@@ -273,10 +275,14 @@ class _Grade:
     ends[a + row] and ends[b + row], for (1 << j, a, b) = steps[j], and
     turns where the first is the greater, which adds 1 << j to the row.
     flat holds ends, order and turned flattened, as memoryviews.
+
+    weights repeats order for _least_codes, whose one einsum walks a
+    2048-row slice of n = 8, grade 4 in 135 us, against 170 us through
+    order (2-vCPU Xeon, numpy 2.4); the n = 8 build walks 708 slices.
     """
 
-    def __init__(self, n, mode, k, block_id):
-        self.sets = enumerate_diagonal_sets(n, k)
+    def __init__(self, n, mode, k):
+        self.sets, block_id = enumerate_diagonal_sets(n, k), _blocks(n, mode)
         trees = [_tree(tuple(_block(d, n, _root(n, mode)) for d in ds), n, mode)
                  for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
@@ -294,7 +300,8 @@ class _Grade:
             nodes, p = [tree[j] for tree in trees], np.arange(1 << j)[:, None]
             at = np.array([(node.block[0], node.last) for node in nodes])[:, None]
             ends.append(np.tile(order[t, p, at].transpose(2, 0, 1), 1 << (m - j)))
-            turn, move = map(np.array, zip(*map(block_id.turn, nodes)))
+            turn, move = map(np.array, zip(*[_turn(n, mode, node.block, tuple(node.children))
+                                             for node in nodes]))
             order = np.concatenate([order, order[t, p, turn[:, None]]], axis=1)
             ids = np.concatenate([ids, move[t, ids]], axis=1)
         ends = np.array(ends, dtype=np.int8).reshape(m, 2, size)
@@ -314,22 +321,19 @@ class _Grade:
         return self._by_mask[at.clip(max=len(self.masks) - 1)]
 
 
-class _Blocks(dict):
-    """The number in polygon_diagonals of each block's diagonal."""
+@lru_cache(maxsize=None)
+def _blocks(n, mode):
+    # the number in polygon_diagonals of each block's diagonal, in that order
+    return {_block(d, n, _root(n, mode)): t for t, d in enumerate(polygon_diagonals(n))}
 
-    def __init__(self, n, mode):
-        super().__init__((_block(d, n, _root(n, mode)), t)
-                         for t, d in enumerate(polygon_diagonals(n)))
-        self.n, self._turns = n, {}
 
-    def turn(self, node):
-        """A node's turn: the position each label comes from, and the number
-        each block of a tree holding the node moves to (`_Node.turn`)."""
-        key = node.block, tuple(node.children)     # nodes recur across sets
-        if key not in self._turns:
-            order, moved = node.turn(tuple(range(self.n)), list(self))
-            self._turns[key] = order, np.array([self[blk] for blk in moved], dtype=np.int8)
-        return self._turns[key]
+@lru_cache(maxsize=4096)
+def _turn(n, mode, block, children):
+    # a node's turn (`_Node.turn`): the position each label comes from,
+    # and the number each block of a tree holding the node moves to
+    block_id = _blocks(n, mode)
+    order, moved = _Node(block, list(children)).turn(tuple(range(n)), list(block_id))
+    return order, np.array([block_id[blk] for blk in moved], dtype=np.int8)
 
 
 def _least_codes(flips, labels, sets):
@@ -461,7 +465,7 @@ class ModuliComplex:
     def _lookup(self, k):
         """Grade k's _Grade, made the first time a lookup needs it and kept."""
         if k not in self._tables:
-            self._tables[k] = _Grade(self.n, self.mode, k, _Blocks(self.n, self.mode))
+            self._tables[k] = _Grade(self.n, self.mode, k)
         return self._tables[k]
 
     def decode(self, indices):
@@ -522,17 +526,14 @@ class ModuliComplex:
         Each node compares two labels and turns where the first is the
         greater, which moves to another row; that row reads off the least
         member's labels and names its diagonal set, whose code is then
-        found in the grade.
+        found in the grade.  A grade the complex lacks is walked the same
+        way, so its UnknownCell names the least member too.
         """
         n, labels, k = self.n, diss.labels, len(diss.diagonals)
         if diss.n != n:
             raise UnknownCell(f"dissection has {diss.n} sides, complex has {n}")
         if not self._label_set.issuperset(labels):
             raise UnknownLabel(f"cell classes need labels 1..{n}, got {labels!r}")
-        if k not in self._grades:
-            least, diagonals = _least_member(diss, self.mode)
-            cell = Cell(self.mode, least, diagonals, 1 << k)
-            raise UnknownCell(f"{cell!r} is not a cell of this complex")
         r = labels.index(1) if self.mode == PROJECTIVE else (labels.index(n) + 1) % n
         labels, bits = labels[r:] + labels[:r], _diagonal_bits(n)
         grade = self._lookup(k)
@@ -543,10 +544,10 @@ class ModuliComplex:
             if labels[ends[a + row]] > labels[ends[b + row]]:
                 row += bit
         least, s = tuple([labels[x] for x in order[row * n:row * n + n]]), turned[row]
-        index = self._index(k, least, s)
+        index = self._index(k, least, s) if k in self._grades else None
         # the grade's own tuple of the diagonals: a result adds one tuple,
         # its labels
-        cell = Cell(self.mode, least, self._grades[k][2][s], 1 << k, index)
+        cell = Cell(self.mode, least, grade.sets[s], 1 << k, index)
         if index is None:
             raise UnknownCell(f"{cell!r} is not a cell of this complex")
         return cell
@@ -674,13 +675,12 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
             raise RangeError(f"max_codim must be >= 0, got {max_codim}")
         top = min(max_codim, top)
     expected = closed_form_f_vector(n, mode)
-    block_id = _Blocks(n, mode)
 
     codes, levels, start = {}, {}, 0
     rows = np.array(_labelings(n, mode), dtype=np.int8)
     sets, prev = np.zeros(len(rows), dtype=np.int32), None
     for k in range(top + 1):
-        grade = _Grade(n, mode, k, block_id)
+        grade = _Grade(n, mode, k)
         keys, shift = _grow(grade, prev, rows, sets)
         grade.flips = grade.order = grade.flat = None      # prev lives on while the next grows
         del rows, sets
@@ -714,9 +714,10 @@ def _row_indices(target, rows, counts, ends):
     number of diagonals and ends its diagonals, row after row.  Each row
     is turned so label 1 comes first, with its diagonals turned along and
     numbered by polygon_diagonals into a bit mask.  The rows of each
-    grade go through _grow with their own sets and the grade the target
-    keeps (ModuliComplex._lookup), and their least members' codes
-    are found among the target's by one searchsorted per grade.
+    grade walk the flip tables of the grade the target keeps
+    (ModuliComplex._lookup) from their own sets (_least_codes), and their
+    least members' codes are found among the target's by one searchsorted
+    per grade.
     UnknownCell names the first row that lies in no cell of the target.
     """
     n = target.n
@@ -733,9 +734,13 @@ def _row_indices(target, rows, counts, ends):
         mine = np.flatnonzero(counts == k)
         if not len(mine):
             continue
-        grade = target._lookup(k)
-        keys, shift = _grow(grade, None, turned[mine], grade.set_index(masks[mine]))
-        codes, mine, own = keys >> shift, mine[keys & ((1 << shift) - 1)], target._codes[k]
+        grade, own = target._lookup(k), target._codes[k]
+        sets = grade.set_index(masks[mine])
+        # a slice at a time, as in _grow: a whole grade's rows of weights
+        # would raise the peak
+        codes = np.concatenate([_least_codes(grade.flips, turned[mine[lo:lo + _SLICE]],
+                                             sets[lo:lo + _SLICE])
+                                for lo in range(0, len(mine), _SLICE)])
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
         found[mine[hit]] = start + at[hit]
@@ -808,14 +813,6 @@ def closed_form_f_vector(n, mode=PROJECTIVE):
     return tuple(out)
 
 
-def _double_factorial(k):
-    out = 1
-    while k > 1:
-        out *= k
-        k -= 2
-    return out
-
-
 def euler_closed_form(n):
     """Euler characteristic of the projective complex, in closed form.
 
@@ -827,7 +824,7 @@ def euler_closed_form(n):
     if n % 2 == 0:
         return 0
     sign = -1 if ((n - 3) // 2) % 2 else 1
-    return sign * (n - 2) * _double_factorial(n - 4) ** 2
+    return sign * (n - 2) * prod(range(n - 4, 0, -2)) ** 2
 
 
 def euler_proof_sum(n):

@@ -29,7 +29,6 @@ from mosaic.moduli import (
     _BUILD_LIMIT,
     DOUBLE_COVER,
     PROJECTIVE,
-    _Blocks,
     _Grade,
     _grow,
     _key_shift,
@@ -76,13 +75,13 @@ def differences(n, mode, samples, seed=0):
 
     Returns the differences and the bits of each grade's full-build key.
     """
-    rng, block_id = random.Random(seed), _Blocks(n, mode)
+    rng = random.Random(seed)
     # the rows each grade of the full build grows from: every labeling,
     # then the cells of the grade above
     above = (factorial(n - 1),) + closed_form_f_vector(n, mode)
     bad, bits = [], {}
     for k in range(n - 2):
-        grade = _Grade(n, mode, k, block_id)
+        grade = _Grade(n, mode, k)
         number = {ds: s for s, ds in enumerate(grade.sets)}
         rows = np.array(sample_labelings(rng, n, mode, samples * len(grade.sets)), dtype=np.int8)
         sets = np.repeat(np.arange(len(grade.sets), dtype=np.int32), samples)

@@ -8,7 +8,7 @@ import pytest
 
 from closure_reference import closure_build, closure_cell_class
 from least_reference import differences, random_dissection
-from mosaic import moduli
+from mosaic import moduli, polygon
 from mosaic.acceptance import ComplexCache, _c07_divisors
 from mosaic.errors import InvariantViolation, MosaicError, UnknownCell, UnknownLabel
 from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, cell_class, marked_twist, twist
@@ -201,9 +201,9 @@ def test_lookups_make_each_grade_flip_tables_once(monkeypatch):
         factors.full(n)
     made, init = Counter(), moduli._Grade.__init__
 
-    def counted(grade, n, mode, k, block_id):
+    def counted(grade, n, mode, k):
         # a grade of one complex: n, the nodes that may turn and k
-        init(grade, n, mode, k, block_id)
+        init(grade, n, mode, k)
         made[n, len(grade.flips[0]), k] += 1
 
     monkeypatch.setattr(moduli._Grade, "__init__", counted)
@@ -231,3 +231,68 @@ def test_the_build_keeps_no_flip_tables(mode, monkeypatch):
     complex_ = moduli.build_complex(6, mode)
     assert complex_._tables == {}
     assert seen == [(True, None)] + [(True, (None, None, None))] * 3
+
+
+def _outcome(find, diss):
+    # the cell found, every field, or the UnknownCell message
+    try:
+        return repr(find(diss))
+    except UnknownCell as err:
+        return str(err)
+
+
+def test_cell_for_finds_least_members_only_in_the_flip_tables(cache, monkeypatch):
+    # every grade of full, truncated and divisor complexes, the grades
+    # each lacks included, against cell_class's node-by-node rule, which
+    # is patched out once its answers are known
+    rng, cases = random.Random(25), []
+    complexes = [cache.full(6, mode) for mode in MODES] \
+        + [moduli.build_complex(6, mode, max_codim=1) for mode in MODES] \
+        + [moduli.divisor_subcomplex(cache.full(6), {1, 2})]
+    for complex_ in complexes:
+        for k in range(4):
+            for _ in range(20):
+                diss = random_dissection(rng, 6, k)
+                want = _outcome(lambda d: complex_.resolve(cell_class(d, complex_.mode)), diss)
+                cases.append((complex_, diss, want))
+
+    def unused(diss, mode):
+        raise AssertionError("cell_for turned the nodes one at a time")
+
+    monkeypatch.setattr(moduli, "_least_member", unused)
+    for complex_, diss, want in cases:
+        assert _outcome(complex_.cell_for, diss) == want, diss
+    found = sum(not want.endswith("is not a cell of this complex") for *_, want in cases)
+    assert 0 < found < len(cases)
+
+
+def test_row_lookups_walk_the_kept_flip_tables(cache, monkeypatch):
+    # the covering map and the divisor check find their cells without
+    # the build's _grow
+    cover, projective = cache.full(5, DOUBLE_COVER), cache.full(5)
+    ambient, factors = cache.full(6), (cache.full(3), cache.full(5))
+
+    def unused(*args):
+        raise AssertionError("a lookup grew through _grow")
+
+    monkeypatch.setattr(moduli, "_grow", unused)
+    assert moduli.covering_map(cover, projective).passed
+    assert moduli.verify_divisor_factorization(ambient, {1, 2}, factors).passed
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_second_build_turns_no_node(mode, monkeypatch):
+    # the block numbering and each node's turn are made once per n and
+    # mode, for the builds and every lookup grade
+    moduli.build_complex(6, mode)
+    turn, calls = polygon._Node.turn, []
+
+    def counted(node, *args):
+        calls.append(node)
+        return turn(node, *args)
+
+    monkeypatch.setattr(polygon._Node, "turn", counted)
+    complex_ = moduli.build_complex(6, mode)
+    for k in range(4):
+        complex_._lookup(k)
+    assert calls == []
