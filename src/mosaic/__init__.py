@@ -17,9 +17,11 @@ from .polygon import (
     dihedral_canonical,
     dual_tree,
     enumerate_diagonal_sets,
+    marked_twist,
     polygon_diagonals,
     si_condition,
     superimpose,
+    twist,
 )
 from .operad import (
     CompositionPlan,
@@ -40,8 +42,6 @@ from .moduli import (
     divisor_subcomplex,
     euler_closed_form,
     euler_proof_sum,
-    marked_twist,
-    twist,
     verify_divisor_factorization,
 )
 from .associahedron import (

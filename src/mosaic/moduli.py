@@ -3,7 +3,7 @@
 A labeled dissection determines a cell; two dissections give the same
 cell when a chain of twists and symmetries carries one to the other.  A
 twist breaks the polygon along a diagonal, reflects one piece, and
-reglues.  Two regimes are supported:
+reglues; the moves are `polygon`'s.  Two regimes are supported:
 
   projective   twists along any diagonal, together with the full
                dihedral relabeling group; tiles number (n-1)!/2.
@@ -71,7 +71,6 @@ from .errors import (
     MismatchedPolygons,
     MosaicError,
     NotASurface,
-    NoInfinitySide,
     RangeError,
     UnknownCell,
     UnknownLabel,
@@ -80,13 +79,14 @@ from .polygon import (
     Dissection,
     _block,
     _diagonal,
-    _flip,
     _Node,
     _rooted_tree,
+    _turned,
     cayley_count,
     enumerate_diagonal_sets,
     polygon_diagonals,
 )
+from .polygon import marked_twist, twist    # re-exported: callers look the twists up here too
 
 PROJECTIVE = "projective"
 DOUBLE_COVER = "double-cover"
@@ -102,48 +102,12 @@ def _check_mode(mode):
 
 
 # ---------------------------------------------------------------------------
-# twists
-
-
-def twist(diss, d):
-    """Break the polygon along d = (i, j) and reflect the piece on vertices i..j.
-
-    The sides at positions i..j-1 reverse, however many there are, and
-    so do the diagonals among vertices i..j (`polygon._flip`).  Twisting
-    twice along the same diagonal is the exact identity.
-    """
-    labels, diags = _flip(diss.labels, diss.diagonals, *diss._own(d))
-    return Dissection._made(labels, frozenset(diags))
-
-
-def marked_twist(diss, d):
-    """Twist along d, always reflecting the piece away from the side n.
-
-    The side labeled n plays the role of the distinguished puncture; the
-    reflected piece never contains it, which makes the marked twist an
-    exact involution with a pinned frame.  With side n on positions i..j-1,
-    the twist is followed by the reflection of the whole polygon about the
-    same axis, which puts that piece back and reflects the other in place.
-    """
-    n = diss.n
-    i, j = diss._own(d)
-    if n not in diss.labels:
-        raise NoInfinitySide(f"no side labeled {n} in {diss.labels!r}")
-    labels, diags = _flip(diss.labels, diss.diagonals, i, j)
-    if i <= diss.labels.index(n) < j:
-        k = (i + j - 1) % n         # side p goes to k-p, vertex v to k+1-v
-        labels = labels[k::-1] + labels[:k:-1]
-        diags = [tuple(sorted(((k + 1 - u) % n, (k + 1 - v) % n))) for u, v in diags]
-    return Dissection._made(labels, frozenset(diags))
-
-
-# ---------------------------------------------------------------------------
 # the least member of a twist class
 #
-# Turn the polygon so the root side sits at position 0 (label 1,
-# projective) or n-1 (label n, double cover), and take the rooted dual
-# tree from polygon's nested blocks (`_rooted_tree`).  Turning a node
-# reverses the order of its units and keeps each unit's content: one
+# Turn the polygon (`_turned`) so the root side sits at position 0
+# (label 1, projective) or n-1 (label n, double cover), and take the
+# rooted dual tree from polygon's nested blocks (`_rooted_tree`).
+# Turning a node reverses its units' order and keeps their content: one
 # flip of its block, then one flip back of each child's (`_Node.turn`).
 
 
@@ -155,10 +119,9 @@ def _root(n, mode):
 def _tree(blocks, n, mode):
     # the nodes that may turn, children before parents: one per block
     # first, then the projective root; the double cover's root never
-    # turns.  Cached, as every _Grade of one n and mode (the build's and
-    # each lookup complex's) and cell_class meet the same diagonal sets,
-    # as _blocks and _turn are for the same _Grades: callers pass a
-    # tuple and do not change the nodes.
+    # turns.  Cached, as _blocks and _turn are: every _Grade of one n and
+    # mode and cell_class meet the same diagonal sets, whose blocks the
+    # callers pass as a sorted tuple, and they do not change the nodes.
     nodes = _rooted_tree(blocks, n, _root(n, mode))
     return nodes[:-1] if mode == DOUBLE_COVER else nodes
 
@@ -207,12 +170,8 @@ def _least_member(diss, mode):
     if set(labels) != set(range(1, n + 1)):
         raise UnknownLabel(f"cell classes need labels 1..{n}, got {labels!r}")
     r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
-    labels = labels[r:] + labels[:r]
-    blocks = []
-    root = _root(n, mode)
-    for u, v in diss.diagonals:
-        u, v = (u - r) % n, (v - r) % n
-        blocks.append(_block((u, v) if u < v else (v, u), n, root))
+    labels, diagonals = _turned(labels, diss.diagonals, r)
+    blocks = [_block(d, n, _root(n, mode)) for d in diagonals]
     for node in _tree(tuple(sorted(blocks)), n, mode):
         if labels[node.block[0]] > labels[node.last]:
             labels, blocks = node.turn(labels, blocks)
@@ -283,7 +242,7 @@ class _Grade:
 
     def __init__(self, n, mode, k):
         self.sets, block_id = enumerate_diagonal_sets(n, k), _blocks(n, mode)
-        trees = [_tree(tuple(_block(d, n, _root(n, mode)) for d in ds), n, mode)
+        trees = [_tree(tuple(sorted(_block(d, n, _root(n, mode)) for d in ds)), n, mode)
                  for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
         self.ids = np.array([[block_id[node.block] for node in tree[:k]] for tree in trees],

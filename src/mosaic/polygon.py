@@ -9,8 +9,9 @@ sorted.
 A `Dissection` built by a caller is checked; the ones the program derives
 from checked ones are made by `Dissection._made` and not checked again.
 
-The dihedral group of order 2n acts by rotating and reflecting positions;
-`dihedral_canonical` picks a distinguished representative of each orbit.
+The dihedral group of order 2n acts by rotating (`_turned`) and reflecting
+(`_reflected`) positions; `dihedral_canonical` picks a distinguished
+representative of each orbit.
 `enumerate_diagonal_sets` and `cayley_count` count dissections two ways,
 once by backtracking and once in closed form.
 
@@ -20,10 +21,11 @@ do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
 at side 0, and `_node_degrees` reads their degrees a grade of faces at a
 time for `associahedron`.
 
-One flip, `_flip`, serves every twist: it reverses a run of sides and
-mirrors the pairs inside it, diagonals and blocks alike.  `moduli`'s
-twists flip along a diagonal, and its least-member rule turns a node
-(`_Node.turn`) by flipping its block, then each child's where it lands.
+Every move of a dissection lives here.  One flip, `_flip`, serves every
+twist: it reverses a run of sides and mirrors the pairs inside it,
+diagonals and blocks alike.  `twist` and `marked_twist` flip along a
+diagonal, and `moduli`'s least-member rule turns a node (`_Node.turn`)
+by flipping its block, then each child's where it lands.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .errors import (
     DuplicateLabel,
     InvariantViolation,
     MismatchedPolygons,
+    NoInfinitySide,
     NoSuchDiagonal,
     RangeError,
     TooManyDiagonals,
@@ -229,18 +232,28 @@ def dihedral_canonical(diss):
     after, before = keys[(r + 1) % n], keys[r - 1]
     if after == before:
         raise InvariantViolation(f"the rotation and the reflection of {labels!r} tie")
-    diagonals = []
-    if after < before:
-        new_labels = labels[r:] + labels[:r]
-        for u, v in diss.diagonals:
-            u, v = (u - r) % n, (v - r) % n
-            diagonals.append((u, v) if u < v else (v, u))
-    else:
-        new_labels = labels[r::-1] + labels[:r:-1]
-        for u, v in diss.diagonals:
-            u, v = (r + 1 - u) % n, (r + 1 - v) % n
-            diagonals.append((u, v) if u < v else (v, u))
-    return Dissection._made(new_labels, frozenset(diagonals))
+    labels, diagonals = (_turned if after < before else _reflected)(labels, diss.diagonals, r)
+    return Dissection._made(labels, frozenset(diagonals))
+
+
+def _turned(labels, diagonals, r):
+    # the polygon turned so side r comes first: side p goes to p - r
+    n = len(labels)
+    moved = []
+    for u, v in diagonals:
+        u, v = (u - r) % n, (v - r) % n
+        moved.append((u, v) if u < v else (v, u))
+    return labels[r:] + labels[:r], moved
+
+
+def _reflected(labels, diagonals, k):
+    # the polygon reflected: side p goes to k - p, vertex v to k + 1 - v
+    n = len(labels)
+    moved = []
+    for u, v in diagonals:
+        u, v = (k + 1 - u) % n, (k + 1 - v) % n
+        moved.append((u, v) if u < v else (v, u))
+    return labels[k::-1] + labels[:k:-1], moved
 
 
 # ---------------------------------------------------------------------------
@@ -258,6 +271,35 @@ def _flip(labels, pairs, a, b):
     # a..b, a sorted diagonal or a block of sides, goes to its mirror
     labels = labels[:a] + labels[a:b][::-1] + labels[b:]
     return labels, [(a + b - y, a + b - x) if a <= x and y <= b else (x, y) for x, y in pairs]
+
+
+def twist(diss, d):
+    """Break the polygon along d = (i, j) and reflect the piece on vertices i..j.
+
+    The sides at positions i..j-1 reverse, however many there are, and
+    so do the diagonals among vertices i..j (`_flip`).  Twisting twice
+    along the same diagonal is the exact identity.
+    """
+    labels, diags = _flip(diss.labels, diss.diagonals, *diss._own(d))
+    return Dissection._made(labels, frozenset(diags))
+
+
+def marked_twist(diss, d):
+    """Twist along d, always reflecting the piece away from the side n.
+
+    The side labeled n plays the role of the distinguished puncture; the
+    reflected piece never contains it, which makes the marked twist an
+    exact involution with a pinned frame.  With side n on positions i..j-1,
+    the twist is followed by the reflection of the whole polygon about the
+    same axis (`_reflected`): that piece goes back, the other reflects.
+    """
+    n, (i, j) = diss.n, diss._own(d)
+    if n not in diss.labels:
+        raise NoInfinitySide(f"no side labeled {n} in {diss.labels!r}")
+    labels, diags = _flip(diss.labels, diss.diagonals, i, j)
+    if i <= diss.labels.index(n) < j:
+        labels, diags = _reflected(labels, diags, (i + j - 1) % n)
+    return Dissection._made(labels, frozenset(diags))
 
 
 def _block(d, n, root):

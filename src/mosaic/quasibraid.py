@@ -32,8 +32,7 @@ from math import factorial
 
 from .errors import CheckReport, InvariantViolation, NonBijective, NotSI, RangeError
 from .associahedron import reference_polygon
-from .moduli import marked_twist
-from .polygon import polygon_diagonals, superimpose
+from .polygon import marked_twist, polygon_diagonals, superimpose
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,15 @@ def test_counts_fails_on_a_grade_with_the_wrong_count(monkeypatch, mode, k):
     assert err.startswith(f"error: grade {k}: ")
 
 
+def test_counts_names_an_euler_characteristic_that_disagrees(monkeypatch):
+    closed_form = moduli.euler_closed_form
+    monkeypatch.setattr(moduli, "euler_closed_form", lambda n: closed_form(n) + 1)
+    code, out, err = run_cli("counts", "--n", "5")
+    assert code == cli.MISMATCH == 2
+    assert "euler closed_form: -2" in out.splitlines()
+    assert err == "MISMATCH: Euler characteristic\n"
+
+
 def test_counts_json():
     code, out, _ = run_cli("counts", "--n", "6", "--json")
     assert code == 0
@@ -222,6 +231,18 @@ def test_divisor_pass():
     assert "factors: 4-gon x 4-gon" in out
     assert "cells by codim: (9, 18, 9) (9 top cells)" in out
     assert "PASS: subcomplex is isomorphic to the product" in out
+
+
+def test_divisor_prints_each_failure_and_exits_2(monkeypatch):
+    def failing(complex_, subset):
+        return moduli.DivisorReport(n=6, subset=subset, factor_sizes=(4, 4),
+                                    failures=["cell 0: broken on purpose", "cell 1: also"])
+
+    monkeypatch.setattr(moduli, "verify_divisor_factorization", failing)
+    code, out, _ = run_cli("divisor", "--n", "6", "--set", "1,2,3")
+    assert code == cli.MISMATCH == 2
+    assert out.splitlines()[-2:] == ["FAIL: cell 0: broken on purpose", "FAIL: cell 1: also"]
+    assert "PASS" not in out
 
 
 @pytest.mark.parametrize("argv,message", [

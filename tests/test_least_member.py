@@ -296,3 +296,16 @@ def test_a_second_build_turns_no_node(mode, monkeypatch):
     for k in range(4):
         complex_._lookup(k)
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_one_dual_tree_is_cached_per_diagonal_set(mode):
+    # the build's grades and cell_class key the tree cache by the same
+    # sorted blocks, so cell_class on every set the build met adds no entry
+    moduli._tree.cache_clear()
+    moduli.build_complex(7, mode)
+    cached = moduli._tree.cache_info().currsize
+    for k in range(5):
+        for diagonals in polygon.enumerate_diagonal_sets(7, k):
+            cell_class(Dissection(tuple(range(1, 8)), frozenset(diagonals)), mode)
+    assert moduli._tree.cache_info().currsize == cached == 197

@@ -3,7 +3,7 @@
 import re
 import tracemalloc
 from functools import partial
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial
 
 import numpy as np
@@ -488,6 +488,8 @@ def test_divisor_factorization_for_the_hexagon(cache):
     complex_ = cache.full(6)
     report = verify_divisor_factorization(complex_, {1, 2, 3})
     assert report.passed, report.failures[:3]
+    assert str(report) == ("divisor [1, 2, 3] of n=6: 36 cells vs 4-gon x 4-gon product, "
+                           "72 incidences: pass")
     assert report.factor_sizes == (4, 4)
     assert report.sub_f_vector == (9, 18, 9)
     report = verify_divisor_factorization(complex_, {1, 2})
@@ -698,6 +700,8 @@ def test_covering_map_is_two_to_one(n, cache):
     cover, projective = cache.full(n, DOUBLE_COVER), cache.full(n)
     report = covering_map(cover, projective)
     assert report.passed, report.failures[:3]
+    assert str(report) == (f"double cover of n={n}: {2 * sum(F_PROJECTIVE[n])} cells "
+                           f"map 2-to-1: pass")
     assert len(report.mapping) == 2 * sum(F_PROJECTIVE[n])
     assert report.mapping == tuple(projective.cell_for(cell.representative).index
                                    for cell in cover.cells)
@@ -837,6 +841,25 @@ def test_tile_boundary_walks_match_the_compatible_diagonals(cache):
                 walk += [f, other_vertex[f]]
                 f = other_edge[other_vertex[f]]
             assert f == mine[0] and sorted(walk) == mine.tolist(), tile
+
+
+def test_classify_surface_names_the_sphere():
+    # the octahedron in the n = 5 shape: 8 triangles, 12 edges on two of
+    # them each, and 6 vertices on four edges each
+    poles = [(0, 1), (2, 3), (4, 5)]
+    faces = list(product(*poles))
+    edges = [e for e in combinations(range(6), 2) if e not in poles]
+    facets = np.array([[t for t, f in enumerate(faces) if set(e) <= set(f)] for e in edges],
+                      dtype=np.int32)
+    corners = np.array([[8 + i for i, e in enumerate(edges) if v in e] for v in range(6)],
+                       dtype=np.int32)
+    codes = {k: np.arange(size, dtype=np.int64) for k, size in enumerate((8, 12, 6))}
+    octahedron = ModuliComplex(5, PROJECTIVE, codes, {1: _Level(8, facets),
+                                                      2: _Level(20, corners)})
+    report = classify_surface(octahedron)
+    assert (report.tiles, report.edges, report.vertices, report.euler) == (8, 12, 6, 2)
+    assert report.orientable
+    assert report.identified_surface == "S_0 (sphere)"
 
 
 def test_classify_surface_names_an_edge_with_one_endpoint():

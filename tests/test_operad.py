@@ -195,6 +195,8 @@ def test_axiom_sweep_passes():
     assert report.sequential_checked == 8226
     assert report.parallel_checked == 8226
     assert report.equivariance_checked == 20424
+    assert str(report) == ("operad axioms: 8226 sequential, 8226 parallel, "
+                           "20424 equivariance checks: pass")
 
 
 def test_axiom_sweep_reports_a_composition_that_breaks_associativity(monkeypatch):

@@ -9,6 +9,7 @@ import types
 from pathlib import Path
 
 import mosaic
+from mosaic import moduli, polygon
 from test_cli import run_cli
 
 
@@ -36,6 +37,24 @@ def test_library_raises_instead_of_asserting():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def _imported(path):
+    # the dotted parts of every module an import statement names
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".") for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.module or "").split(".") + [alias.name] for alias in node.names)
+
+
+def test_the_modules_moduli_builds_on_import_nothing_from_it():
+    # every move of a dissection lives in polygon, so only the front ends
+    # (acceptance, cli, __init__) import moduli, which keeps the twists'
+    # names for its callers
+    for name in ("polygon", "operad", "associahedron", "quasibraid", "arrangement", "errors"):
+        assert not [parts for parts in _imported(SRC / f"{name}.py") if "moduli" in parts], name
+    assert moduli.twist is polygon.twist and moduli.marked_twist is polygon.marked_twist
 
 
 PUBLIC = (
