@@ -285,8 +285,8 @@ def cmd_quasibraid(args):
 
 
 def cmd_verify(args):
-    if args.n_max > 8:
-        raise RangeError(f"verify supports --n-max <= 8, got {args.n_max}")
+    if args.n_max > acceptance.N_MAX:
+        raise RangeError(f"verify supports --n-max <= {acceptance.N_MAX}, got {args.n_max}")
     results = acceptance.run_all(args.n_max, emit=print)
     return 0 if all(r.passed for r in results) else MISMATCH
 

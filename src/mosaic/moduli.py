@@ -115,13 +115,10 @@ def _root(n, mode):
     return 0 if mode == PROJECTIVE else n - 1
 
 
-@lru_cache(maxsize=4096)
 def _tree(blocks, n, mode):
     # the nodes that may turn, children before parents: one per block
     # first, then the projective root; the double cover's root never
-    # turns.  Cached, as _blocks and _turn are: every _Grade of one n and
-    # mode and cell_class meet the same diagonal sets, whose blocks the
-    # callers pass as a sorted tuple, and they do not change the nodes.
+    # turns
     nodes = _rooted_tree(blocks, n, _root(n, mode))
     return nodes[:-1] if mode == DOUBLE_COVER else nodes
 
@@ -172,7 +169,7 @@ def _least_member(diss, mode):
     r = labels.index(1) if mode == PROJECTIVE else (labels.index(n) + 1) % n
     labels, diagonals = _turned(labels, diss.diagonals, r)
     blocks = [_block(d, n, _root(n, mode)) for d in diagonals]
-    for node in _tree(tuple(sorted(blocks)), n, mode):
+    for node in _tree(blocks, n, mode):
         if labels[node.block[0]] > labels[node.last]:
             labels, blocks = node.turn(labels, blocks)
     return labels, tuple(sorted([_diagonal(blk, n) for blk in blocks]))
@@ -242,8 +239,7 @@ class _Grade:
 
     def __init__(self, n, mode, k):
         self.sets, block_id = enumerate_diagonal_sets(n, k), _blocks(n, mode)
-        trees = [_tree(tuple(sorted(_block(d, n, _root(n, mode)) for d in ds)), n, mode)
-                 for ds in self.sets]
+        trees = [_tree([_block(d, n, _root(n, mode)) for d in ds], n, mode) for ds in self.sets]
         # the non-root nodes come first in a tree, one per diagonal
         self.ids = np.array([[block_id[node.block] for node in tree[:k]] for tree in trees],
                             dtype=np.int8).reshape(len(self.sets), k)
@@ -789,20 +785,13 @@ def euler_closed_form(n):
 def euler_proof_sum(n):
     """The same Euler characteristic as an unsimplified alternating sum.
 
-    Codim k carries (n-1)! * cayley_count(n, k) / 2^(k+1) cells of
-    dimension n-3-k; summing signs over grades gives the characteristic
-    without invoking the closed form.
+    Codim k carries closed_form_f_vector(n)[k] cells of dimension
+    n-3-k; summing signs over grades gives the characteristic without
+    invoking the closed form.
     """
     if n < 4:
         raise RangeError(f"need n >= 4, got {n}")
-    total = 0
-    for k in range(n - 2):
-        num = factorial(n - 1) * cayley_count(n, k)
-        denom = 1 << (k + 1)
-        if num % denom:
-            raise InvariantViolation(f"codim {k}: {num} is not divisible by {denom}")
-        total += (-1) ** (n - 3 - k) * (num // denom)
-    return total
+    return sum((-1) ** (n - 3 - k) * cells for k, cells in enumerate(closed_form_f_vector(n)))
 
 
 # ---------------------------------------------------------------------------

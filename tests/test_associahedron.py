@@ -39,6 +39,7 @@ def test_lattice_grades_match_the_counting_formula(n):
     assert lattice.top.diagonals == ()
     assert len(lattice.minima()) == TRIANGULATIONS[n]
     assert all(f.codim == n - 3 for f in lattice.minima())
+    assert all(f.dimension == n - 3 - k for k in range(n - 2) for f in lattice.faces_at(k))
     assert len(lattice.facets()) == n * (n - 3) // 2
 
 

@@ -4,11 +4,12 @@ import contextlib
 import hashlib
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from cells_reference import reference_dot, reference_payload
-from mosaic import cli, moduli, quasibraid
+from mosaic import cli, moduli, operad, quasibraid
 from mosaic.errors import InvariantViolation
 from mosaic.moduli import DOUBLE_COVER, PROJECTIVE, build_complex
 from mosaic.polygon import Dissection
@@ -268,6 +269,9 @@ def test_divisor_usage_errors():
     assert "2 <= |S|" in err
     code, _, _ = run_cli("divisor", "--n", "6", "--set", "zebra")
     assert code == 64
+    code, _, err = run_cli("divisor", "--n", "6", "--set", ",")
+    assert code == 64
+    assert err.endswith("error: argument --set: empty label set\n")
     code, _, _ = run_cli("divisor", "--n", "6")
     assert code == 64
 
@@ -373,7 +377,17 @@ def test_verify_small_range_is_vacuous_but_passing():
 def test_verify_range_guard():
     code, _, err = run_cli("verify", "--n-max", "9")
     assert code == 64
-    assert "error:" in err
+    assert err == "error: verify supports --n-max <= 8, got 9\n"
+
+
+def test_verify_prints_a_failed_criterion_and_exits_2(monkeypatch):
+    monkeypatch.setattr(operad, "check_operad_axioms",
+                        lambda n: SimpleNamespace(passed=False, failures=["broken on purpose"]))
+    code, out, _ = run_cli("verify", "--n-max", "3")
+    assert code == cli.MISMATCH == 2
+    lines = out.splitlines()
+    assert [line[:6] for line in lines] == ["[PASS]"] * 10 + ["[FAIL]"]
+    assert lines[-1].startswith("[FAIL] criterion 11 operad axioms: broken on purpose [")
 
 
 def test_usage_errors_exit_64():

@@ -210,7 +210,7 @@ def test_lookups_make_each_grade_flip_tables_once(monkeypatch):
     for _ in range(2):
         assert moduli.covering_map(cover, projective).passed
     assert made == {(7, k + 1, k): 1 for k in range(5)}
-    passed, detail, _ = _c07_divisors(factors, 6)
+    passed, detail = _c07_divisors(factors, [5, 6])
     assert passed and detail.startswith("35 divisor classes"), detail
     assert max(made.values()) == 1
     assert {(n, k + 1, k) for n in (3, 4, 5) for k in range(n - 2)} <= set(made)
@@ -296,16 +296,3 @@ def test_a_second_build_turns_no_node(mode, monkeypatch):
     for k in range(4):
         complex_._lookup(k)
     assert calls == []
-
-
-@pytest.mark.parametrize("mode", MODES)
-def test_one_dual_tree_is_cached_per_diagonal_set(mode):
-    # the build's grades and cell_class key the tree cache by the same
-    # sorted blocks, so cell_class on every set the build met adds no entry
-    moduli._tree.cache_clear()
-    moduli.build_complex(7, mode)
-    cached = moduli._tree.cache_info().currsize
-    for k in range(5):
-        for diagonals in polygon.enumerate_diagonal_sets(7, k):
-            cell_class(Dissection(tuple(range(1, 8)), frozenset(diagonals)), mode)
-    assert moduli._tree.cache_info().currsize == cached == 197

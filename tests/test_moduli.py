@@ -11,6 +11,7 @@ import pytest
 
 from cells_reference import reference_cells
 from twist_reference import differences as twist_differences
+from mosaic import moduli
 from mosaic.errors import (
     BadSubsetSize,
     InvariantViolation,
@@ -447,7 +448,7 @@ def test_build_peaks_within_a_small_multiple_of_what_it_keeps(mode):
     # (code, parent) keys, so the traced peak stays under 3.5 times the
     # bytes of the codes and parent tables the complex keeps (2.76 at
     # n = 7; the n = 8 builds, in CI, stay under 2.0)
-    build_complex(7, mode)                  # warm the diagonal-set and tree caches
+    build_complex(7, mode)                  # warm the diagonal-set and turn caches
     tracemalloc.start()
     try:
         complex_ = build_complex(7, mode)
@@ -586,6 +587,32 @@ def test_divisor_names_a_cell_with_the_wrong_number_of_parents():
     with pytest.raises(InvariantViolation, match=rf"^grade 2: divisor cell {vertex.index} "
                        r"lies on 1 divisor cells of grade 1, not 2$"):
         divisor_subcomplex(complex_, {1, 2})
+
+
+def test_divisor_halves_need_one_diagonal_cutting_off_the_set(cache):
+    # the cells of the divisor of {1, 2} carry no diagonal cutting off {1, 3}
+    sub = divisor_subcomplex(cache.full(5), {1, 2})
+    sub.divisor_set = frozenset({1, 3})
+    with pytest.raises(InvariantViolation, match=r"^divisor cell 0: 0 of its diagonals "
+                       r"cut off \[1, 3\], not 1$"):
+        _halves(sub)
+
+
+def test_divisor_factorization_reports_halves_of_the_wrong_codim(cache, monkeypatch):
+    # each cell's halves swapped with those of the cell at the other end of
+    # the divisor: the halves of a grade-2 cell carry one diagonal, of a
+    # grade-1 cell none, so every cell's codims mismatch and no incidence
+    # is checked
+    def reversed_halves(sub):
+        return [(rows[::-1], counts[::-1],
+                 np.concatenate(np.split(ends, np.cumsum(counts)[:-1])[::-1]))
+                for rows, counts, ends in _halves(sub)]
+
+    monkeypatch.setattr(moduli, "_halves", reversed_halves)
+    report = verify_divisor_factorization(cache.full(5), {1, 2})
+    assert report.failures == ([f"cell {i}: codim 1 vs factors 0+1+1" for i in range(3)]
+                               + [f"cell {i}: codim 2 vs factors 0+0+1" for i in range(3, 6)])
+    assert (report.cells_checked, report.incidences_checked) == (6, 0)
 
 
 def test_divisor_factorization_rejects_factors_of_the_wrong_size(cache):

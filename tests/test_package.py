@@ -8,8 +8,11 @@ import sys
 import types
 from pathlib import Path
 
+import pytest
+
 import mosaic
-from mosaic import moduli, polygon
+from mosaic import arrangement, associahedron, moduli, polygon
+from mosaic.errors import MosaicError, RangeError
 from test_cli import run_cli
 
 
@@ -25,6 +28,41 @@ def test_python_dash_m_runs_the_cli():
                               capture_output=True, text=True, env=env, timeout=120)
         assert (done.returncode, done.stdout, done.stderr) == run_cli("counts", "--n", "5")
         assert done.returncode == 0
+
+
+# guards against out-of-range input: the function, its arguments, and the
+# exception type and message it raises
+GUARDS = [
+    (polygon.polygon_diagonals, (2,), RangeError, "need n >= 3, got 2"),
+    (polygon.enumerate_diagonal_sets, (2, 0), RangeError, "need n >= 3, got 2"),
+    (polygon.enumerate_diagonal_sets, (5, 3), RangeError,
+     "need 0 <= k <= 2 for a 5-gon, got k=3"),
+    (polygon.cayley_count, (2, 0), RangeError, "need n >= 3, got 2"),
+    (polygon.cayley_count, (5, -1), RangeError, "need 0 <= k <= 2 for a 5-gon, got k=-1"),
+    (moduli.build_complex, (5, moduli.PROJECTIVE, -1), RangeError,
+     "max_codim must be >= 0, got -1"),
+    (moduli.tile_count, (2,), RangeError, "need n >= 3, got 2"),
+    (moduli.closed_form_f_vector, (2,), RangeError, "need n >= 3, got 2"),
+    (moduli.euler_closed_form, (3,), RangeError, "need n >= 4, got 3"),
+    (moduli.euler_proof_sum, (3,), RangeError, "need n >= 4, got 3"),
+    (associahedron.face_lattice(5).faces_at, (3,), RangeError,
+     "no faces of codim 3 in K for n=5"),
+    (associahedron.facet_si_graph, (11,), RangeError,
+     "facet graph supports 4 <= n <= 10, got 11"),
+    (associahedron.g_hat_strata, (3,), RangeError, "need n >= 4, got 3"),
+    (arrangement.Flat, (((1,), ()),), MosaicError, "empty block in flat"),
+    (arrangement.flats, (10,), RangeError, "flat enumeration supports 4 <= n <= 9, got 10"),
+    (arrangement.irreducible_cells, (3, 1), RangeError, "need n >= 4, got 3"),
+    (arrangement.divisor_correspondence, (3,), RangeError, "need n >= 4, got 3"),
+]
+
+
+@pytest.mark.parametrize("func,args,error,message", [
+    pytest.param(*guard, id=f"{guard[0].__qualname__}{guard[1]}") for guard in GUARDS])
+def test_out_of_range_input_raises_a_named_error(func, args, error, message):
+    with pytest.raises(error) as raised:
+        func(*args)
+    assert type(raised.value) is error and str(raised.value) == message
 
 
 def test_library_raises_instead_of_asserting():
