@@ -9,7 +9,6 @@ deterministic for fixed flags.
 import argparse
 import json
 import sys
-from math import factorial
 
 import numpy as np
 
@@ -120,8 +119,8 @@ def cmd_counts(args):
 
     if args.format == "json":
         payload = {"n": n, "rows": rows, "euler": euler,
-                   "tiles": {"projective": factorial(n - 1) // 2,
-                             "double-cover": factorial(n - 1)},
+                   "tiles": {"projective": proj_formula[0],
+                             "double-cover": cover_formula[0]},
                    "agree": not mismatches}
         print(json.dumps(payload, sort_keys=True))
     else:

@@ -96,6 +96,16 @@ def test_counts_names_an_euler_characteristic_that_disagrees(monkeypatch):
     assert err == "MISMATCH: Euler characteristic\n"
 
 
+def test_counts_names_a_diagonal_set_count_that_disagrees(monkeypatch):
+    real = cli.enumerate_diagonal_sets
+    monkeypatch.setattr(cli, "enumerate_diagonal_sets",
+                        lambda n, k: real(n, k)[1:] if k == 1 else real(n, k))
+    code, out, err = run_cli("counts", "--n", "5")
+    assert code == cli.MISMATCH == 2
+    assert out.splitlines()[3].split() == ["1", "5", "4", "30", "60", "30", "60"]
+    assert err == "MISMATCH: diagonal sets at k=1\n"
+
+
 def test_counts_json():
     code, out, _ = run_cli("counts", "--n", "6", "--json")
     assert code == 0

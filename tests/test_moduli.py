@@ -30,6 +30,7 @@ from mosaic.moduli import (
     Cell,
     ModuliComplex,
     _Level,
+    _cell_rows,
     _check_map,
     _flags,
     _halves,
@@ -781,6 +782,14 @@ def test_covering_map_names_a_cover_cell_over_no_projective_cell(edit, cache):
         run()
 
 
+def test_row_indices_skip_a_grade_with_no_rows(cache):
+    # tile rows only: grades 1 and 2 are handed no rows
+    complex_ = cache.full(5)
+    rows, counts, ends = _cell_rows(complex_, range(12))
+    assert counts.tolist() == [0] * 12 and ends.shape == (0, 2)
+    assert _row_indices(complex_, rows, counts, ends).tolist() == list(range(12))
+
+
 def test_covering_map_guards(cache):
     with pytest.raises(MosaicError):
         covering_map(cache.full(4), cache.full(4))
@@ -870,7 +879,7 @@ def test_tile_boundary_walks_match_the_compatible_diagonals(cache):
             assert f == mine[0] and sorted(walk) == mine.tolist(), tile
 
 
-def test_classify_surface_names_the_sphere():
+def _octahedron():
     # the octahedron in the n = 5 shape: 8 triangles, 12 edges on two of
     # them each, and 6 vertices on four edges each
     poles = [(0, 1), (2, 3), (4, 5)]
@@ -881,12 +890,27 @@ def test_classify_surface_names_the_sphere():
     corners = np.array([[8 + i for i, e in enumerate(edges) if v in e] for v in range(6)],
                        dtype=np.int32)
     codes = {k: np.arange(size, dtype=np.int64) for k, size in enumerate((8, 12, 6))}
-    octahedron = ModuliComplex(5, PROJECTIVE, codes, {1: _Level(8, facets),
-                                                      2: _Level(20, corners)})
-    report = classify_surface(octahedron)
+    return ModuliComplex(5, PROJECTIVE, codes, {1: _Level(8, facets), 2: _Level(20, corners)})
+
+
+def test_classify_surface_names_the_sphere():
+    report = classify_surface(_octahedron())
     assert (report.tiles, report.edges, report.vertices, report.euler) == (8, 12, 6, 2)
     assert report.orientable
     assert report.identified_surface == "S_0 (sphere)"
+
+
+def test_classify_surface_names_orientable_surfaces_by_euler_characteristic(monkeypatch):
+    # the octahedron's flags stay orientable; only the counts it reports change
+    octahedron = _octahedron()
+    monkeypatch.setattr(octahedron, "f_vector", lambda: (8, 12, 5))
+    with pytest.raises(InvariantViolation) as raised:
+        classify_surface(octahedron)
+    assert str(raised.value) == "orientable surface with odd Euler characteristic 1"
+    monkeypatch.setattr(octahedron, "f_vector", lambda: (8, 12, 2))
+    report = classify_surface(octahedron)
+    assert (report.euler, report.orientable) == (-2, True)
+    assert report.identified_surface == "S_2 (orientable, genus 2)"
 
 
 def test_classify_surface_names_an_edge_with_one_endpoint():

@@ -10,6 +10,7 @@ from compose_reference import differences, gluings, reference_compose, wraps
 from mosaic import operad
 from mosaic.errors import (
     ArityMismatch,
+    InvariantViolation,
     LabelCollision,
     NonBijective,
     RangeError,
@@ -70,6 +71,16 @@ def test_glue_rejects_label_collision():
     # the glued labels themselves may coincide, only survivors clash
     out = compose_single(g, 3, Dissection((3, 6, 7)), 3)
     assert set(out.labels) == {1, 2, 6, 7}
+
+
+def test_glue_names_two_diagonals_that_collide():
+    # an unchecked g holding one diagonal in both orders: the vertex maps
+    # send both to one pair, so the composite is a diagonal short
+    g = Dissection._made((1, 2, 3, 4, 5), frozenset({(0, 2), (2, 0)}))
+    with pytest.raises(InvariantViolation) as raised:
+        compose_single(g, 1, Dissection((6, 7, 8)), 6)
+    assert str(raised.value) == ("composition bookkeeping broke: 6 sides, "
+                                 "2 diagonals from 5+3 gluing")
 
 
 def test_full_composition_of_triangles():
@@ -272,6 +283,14 @@ def test_a_diagonal_of_h_at_the_start_of_side_b_wraps_to_vertex_0():
 def test_axiom_sweep_range_guard():
     with pytest.raises(RangeError):
         check_operad_axioms(8)
+
+
+def test_each_operand_pool_is_made_once():
+    operad._all_dissections.cache_clear()
+    check_operad_axioms(5)
+    # (3, 3, 3) for associativity; (3, 3), (3, 4) and (4, 3) for equivariance
+    assert operad._all_dissections.cache_info().misses == 5
+    assert operad._all_dissections(3, 100) is operad._all_dissections(3, 100)
 
 
 def test_full_composition_sweep():

@@ -8,8 +8,8 @@ from math import comb, factorial
 import pytest
 
 from mosaic import acceptance, quasibraid
-from mosaic.errors import NonBijective, NotSI, RangeError
-from mosaic.polygon import cayley_count
+from mosaic.errors import InvariantViolation, NonBijective, NotSI, RangeError
+from mosaic.polygon import Dissection, cayley_count
 from mosaic.quasibraid import (
     Generator,
     Permutation,
@@ -123,6 +123,15 @@ def test_conjugation_is_an_involution(n):
             assert conjugate_in(d, b) == a
 
 
+def test_conjugation_names_a_twist_that_loses_the_diagonal(monkeypatch):
+    # a marked twist that keeps only the twisted diagonal leaves none
+    monkeypatch.setattr(quasibraid, "marked_twist",
+                        lambda pair, d: Dissection._made(pair.labels, frozenset({d})))
+    with pytest.raises(InvariantViolation) as raised:
+        conjugate_in(Generator(5, (0, 3)), Generator(5, (0, 2)))
+    assert str(raised.value) == "twisting (0, 2) in (0, 3) left []"
+
+
 def test_conjugation_rejects_crossing_or_equal_pairs():
     with pytest.raises(NotSI):
         conjugate_in(Generator(5, (0, 2)), Generator(5, (1, 3)))
@@ -230,6 +239,26 @@ def test_criterion_10_makes_each_table_once():
     assert relations.cache_info().misses == 6
     table = relations(8)
     assert isinstance(table, tuple) and relations(8) is table
+
+
+def test_relations_name_a_noncommuting_pair_that_is_not_nested(monkeypatch):
+    # the disjoint pair (0, 2), (2, 4) made to move under one marked twist
+    real = quasibraid.marked_twist
+
+    def broken(pair, d):
+        out = real(pair, d)
+        if pair.diagonals == {(0, 2), (2, 4)} and d == (0, 2):
+            return Dissection._made(out.labels, frozenset())
+        return out
+
+    relations.cache_clear()
+    monkeypatch.setattr(quasibraid, "marked_twist", broken)
+    try:
+        with pytest.raises(InvariantViolation) as raised:
+            relations(5)
+    finally:
+        relations.cache_clear()
+    assert str(raised.value) == "noncommuting pair (0, 2)/(2, 4) is not nested"
 
 
 @pytest.mark.parametrize("n", (5, 6, 7))
@@ -345,6 +374,15 @@ def test_pair_of_pants_names_each_relation_missing_from_the_target(monkeypatch):
     assert str(report) == ("juxtaposition J_3 x J_4 -> J_7: 12 relations carried, "
                            "10 cross pairs commute: 3 FAILURES")
     assert real(8) is real(8)
+
+
+def test_pair_of_pants_names_a_cross_pair_that_fails_under_phi(monkeypatch):
+    # (0, 2) sent to the image of (0, 4), which moves label 4 as (3, 5) does
+    real = quasibraid.phi
+    monkeypatch.setattr(quasibraid, "phi", lambda g: real(
+        Generator(g.n, (0, 4)) if g.diagonal == (0, 2) else g))
+    _, _, report = pair_of_pants(3, 3)
+    assert report.failures == ["cross pair ((0, 2), (3, 5)) fails to commute under phi"]
 
 
 def test_pair_of_pants_range_guard():
