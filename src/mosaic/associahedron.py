@@ -9,6 +9,7 @@ lives in the cell-complex modules.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -112,7 +113,9 @@ def face_factorizations(n, k):
     enumerated there are valid, so no dissection is built.
     """
     sets = enumerate_diagonal_sets(n, k)
-    return _node_degrees(np.array(sets, dtype=np.int16).reshape(len(sets), k, 2), n)
+    flat = chain.from_iterable(chain.from_iterable(sets))
+    rows = np.fromiter(flat, dtype=np.int16, count=2 * k * len(sets))
+    return _node_degrees(rows.reshape(len(sets), k, 2), n)
 
 
 def face_factorization(face):

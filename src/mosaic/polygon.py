@@ -18,7 +18,9 @@ once by backtracking and once in closed form.
 A dissection and its dual tree are one object: rooted at a side, the
 diagonals cut off blocks of side positions that nest as the tree's nodes
 do (`_rooted_tree`).  `dual_tree` reads its regions off the blocks rooted
-at side 0, and `_node_degrees` reads their degrees a grade of faces at a
+at side 0; its regions and edges depend only on n and the diagonal set,
+so they are cached per diagonal set (`_dual_shape`) and the labels join
+at the leaves.  `_node_degrees` reads the degrees a grade of faces at a
 time for `associahedron`.
 
 Every move of a dissection lives here.  One flip, `_flip`, serves every
@@ -431,13 +433,25 @@ class DualTree:
 def dual_tree(diss):
     """Build the dual tree of a dissection from its blocks rooted at side 0.
 
-    A node's region walks from the start of its block over its units,
-    one vertex per single side and a jump over each child block, and
-    closes along the node's diagonal (side 0 for the root).  Each child
-    block is the tree edge to its node and each single side a leaf.
+    The regions and edges depend only on n and the diagonal set, so they
+    come from `_dual_shape`, cached per diagonal set and shared by every
+    tree of that set; the labels enter only at the leaves.
     """
-    n = diss.n
-    nodes = _rooted_tree([_block(d, n, 0) for d in diss.diagonals], n, 0)
+    regions, edges, owner = _dual_shape(diss.n, diss.diagonals)
+    return DualTree(regions=regions, edges=edges, leaves=tuple(zip(owner, diss.labels)), n=diss.n)
+
+
+@lru_cache(maxsize=256)
+def _dual_shape(n, diagonals):
+    # (regions, edges, owning region of each side position) of the dual
+    # tree.  A node's region walks from the start of its block over its
+    # units, one vertex per single side and a jump over each child block,
+    # and closes along the node's diagonal (side 0 for the root).  Each
+    # child block is the tree edge to its node and each single side a
+    # leaf.  Only repeated lookups of one set read an entry again; 256
+    # entries hold the 197 sets of n = 7 (0.19 MiB traced), and a sweep
+    # that takes each set once keeps at most 256 entries (under 0.5 MiB).
+    nodes = _rooted_tree([_block(d, n, 0) for d in diagonals], n, 0)
     cycles, owner = [], [nodes[-1].block] * n       # side 0 is a leaf of the root
     for node in nodes:
         a, b = node.block
@@ -454,8 +468,7 @@ def dual_tree(diss):
     region = {nodes[t].block: r for r, t in enumerate(order)}
     edges = sorted(((*sorted((region[node.block], region[child])), _diagonal(child, n))
                     for node in nodes for child in node.children), key=lambda e: e[2])
-    return DualTree(regions=tuple(cycles[t] for t in order), edges=tuple(edges),
-                    leaves=tuple(zip(map(region.get, owner), diss.labels)), n=n)
+    return tuple(cycles[t] for t in order), tuple(edges), tuple(map(region.get, owner))
 
 
 def superimpose(g1, g2):

@@ -4,12 +4,13 @@ import itertools
 import math
 import random
 import re
+from dataclasses import replace
 from math import comb
 
 import numpy as np
 import pytest
 
-from dual_tree_reference import compare_with_reference
+from dual_tree_reference import compare_with_reference, reference_dual_tree
 from mosaic.errors import (
     AdjacentDiagonal,
     CrossingDiagonals,
@@ -22,6 +23,7 @@ from mosaic.errors import (
 )
 from mosaic.polygon import (
     Dissection,
+    _dual_shape,
     cayley_count,
     dihedral_canonical,
     diagonals_cross,
@@ -394,6 +396,25 @@ def test_region_cycles_start_at_their_least_vertex(n):
             regions = dual_tree(Dissection(tuple(range(1, n + 1)), frozenset(ds))).regions
             assert all(cycle == tuple(sorted(cycle)) for cycle in regions)
             assert list(regions) == sorted(regions)
+
+
+def test_dual_trees_of_one_diagonal_set_share_their_shape():
+    # the regions and edges are cached per diagonal set; only the leaves
+    # carry each dissection's own labels
+    diagonals = frozenset({(0, 2), (0, 4), (4, 6)})
+    first = Dissection((1, 2, 3, 4, 5, 6, 7), diagonals)
+    second = Dissection((3, 1, 7, 5, 2, 6, 4), set(diagonals))
+    trees = [dual_tree(first), dual_tree(second)]
+    for diss, tree in zip((first, second), trees):
+        ref = reference_dual_tree(diss)
+        # the reference cuts cycles that may start anywhere; rotate each
+        # to its least vertex, where `dual_tree` starts them
+        least = [cycle.index(min(cycle)) for cycle in ref.regions]
+        regions = tuple(c[t:] + c[:t] for c, t in zip(ref.regions, least))
+        assert tree == replace(ref, regions=regions)
+        assert tree.leaf_cycle() == diss.labels
+    assert trees[0].regions is trees[1].regions
+    assert _dual_shape.cache_info().maxsize is not None
 
 
 def test_dual_tree_single_region():
