@@ -81,6 +81,21 @@ def _format_flags(p, choices):
 # counts
 
 
+# the columns of counts, each (JSON key, table header, width); the built
+# ones come last, only where the complexes are built
+_COLUMNS = (("k", "k", 2), ("diagonal_sets", "sets", 8),
+            ("diagonal_sets_counted", "counted", 8),
+            ("projective_cells", "proj", 10), ("double_cover_cells", "double", 10))
+_BUILT_COLUMNS = (("projective_cells_built", "proj built", 10),
+                  ("double_cover_cells_built", "dbl built", 10))
+
+
+def _built_counts(n, mode):
+    # the f-vector and Euler characteristic; the complex is dropped on return
+    complex_ = moduli.build_complex(n, mode)
+    return complex_.f_vector(), complex_.euler_characteristic()
+
+
 def cmd_counts(args):
     n = args.n
     if not 3 <= n <= 10:
@@ -88,55 +103,37 @@ def cmd_counts(args):
     if args.k is not None and not 0 <= args.k <= n - 3:
         raise RangeError(f"need 0 <= k <= {n - 3}, got {args.k}")
     ks = range(n - 2) if args.k is None else (args.k,)
-    built = {}
-    if n <= 8:
-        built[PROJECTIVE] = moduli.build_complex(n, PROJECTIVE)
-        built[DOUBLE_COVER] = moduli.build_complex(n, DOUBLE_COVER)
+    columns, built = _COLUMNS, []
+    if n <= moduli._BUILD_LIMIT:
+        columns += _BUILT_COLUMNS
+        built = [_built_counts(n, mode) for mode in (PROJECTIVE, DOUBLE_COVER)]
     proj_formula = moduli.closed_form_f_vector(n, PROJECTIVE)
     cover_formula = moduli.closed_form_f_vector(n, DOUBLE_COVER)
-    mismatches = []
-
-    rows = []
+    mismatches, rows = [], []
     for k in ks:
         counted = len(enumerate_diagonal_sets(n, k))
-        row = {"k": k, "diagonal_sets": cayley_count(n, k),
-               "diagonal_sets_counted": counted,
-               "projective_cells": proj_formula[k],
-               "double_cover_cells": cover_formula[k]}
         if counted != cayley_count(n, k):
             mismatches.append(f"diagonal sets at k={k}")
-        if built:
-            row["projective_cells_built"] = len(built[PROJECTIVE].cells_at(k))
-            row["double_cover_cells_built"] = len(built[DOUBLE_COVER].cells_at(k))
-        rows.append(row)
+        values = (k, cayley_count(n, k), counted, proj_formula[k], cover_formula[k],
+                  *(f_vector[k] for f_vector, _ in built))
+        rows.append(dict(zip((key for key, _, _ in columns), values, strict=True)))
 
     euler = {"proof_sum": moduli.euler_proof_sum(n),
              "closed_form": moduli.euler_closed_form(n)} if n >= 4 else {}
     if built and n >= 4:
-        euler["enumerated"] = built[PROJECTIVE].euler_characteristic()
+        euler["enumerated"] = built[0][1]        # the projective complex's
     if euler and len(set(euler.values())) != 1:
         mismatches.append("Euler characteristic")
 
     if args.format == "json":
         payload = {"n": n, "rows": rows, "euler": euler,
-                   "tiles": {"projective": proj_formula[0],
-                             "double-cover": cover_formula[0]},
+                   "tiles": {"projective": proj_formula[0], "double-cover": cover_formula[0]},
                    "agree": not mismatches}
         print(json.dumps(payload, sort_keys=True))
     else:
-        header = f"{'k':>2} {'sets':>8} {'counted':>8} {'proj':>10} {'double':>10}"
-        if built:
-            header += f" {'proj built':>10} {'dbl built':>10}"
         print(f"n = {n}")
-        print(header)
-        for row in rows:
-            line = (f"{row['k']:>2} {row['diagonal_sets']:>8} "
-                    f"{row['diagonal_sets_counted']:>8} "
-                    f"{row['projective_cells']:>10} {row['double_cover_cells']:>10}")
-            if built:
-                line += (f" {row['projective_cells_built']:>10} "
-                         f"{row['double_cover_cells_built']:>10}")
-            print(line)
+        for row in ({key: header for key, header, _ in columns}, *rows):
+            print(" ".join(f"{row[key]:>{width}}" for key, _, width in columns))
         for name, value in euler.items():
             print(f"euler {name}: {value}")
     if mismatches:
@@ -236,8 +233,7 @@ def cmd_divisor(args):
     m1, m2 = report.factor_sizes
     print(f"divisor {sorted(report.subset)} of the {report.n}-gon complex")
     print(f"factors: {m1}-gon x {m2}-gon")
-    top = report.sub_f_vector[0] if report.sub_f_vector else 0
-    print(f"cells by codim: {report.sub_f_vector} ({top} top cells)")
+    print(f"cells by codim: {report.sub_f_vector} ({report.sub_f_vector[0]} top cells)")
     print(f"cells checked: {report.cells_checked}, "
           f"incidences checked: {report.incidences_checked}")
     if report.passed:

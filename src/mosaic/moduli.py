@@ -752,20 +752,12 @@ def closed_form_f_vector(n, mode=PROJECTIVE):
     """Cell counts by codimension without enumeration.
 
     Classes carry 2^k dissections each, so codim k holds
-    tiles * cayley_count(n, k) / 2^k cells.
+    tiles * cayley_count(n, k) / 2^k cells, an exact division.
     """
     _check_mode(mode)
     if n < 3:
         raise RangeError(f"need n >= 3, got {n}")
-    out = []
-    for k in range(n - 2):
-        num = tile_count(n, mode) * cayley_count(n, k)
-        denom = 1 << k
-        if num % denom:
-            raise InvariantViolation(f"codim {k}: {num} dissections do not split "
-                                     f"into classes of {denom}")
-        out.append(num // denom)
-    return tuple(out)
+    return tuple(tile_count(n, mode) * cayley_count(n, k) // 2**k for k in range(n - 2))
 
 
 def euler_closed_form(n):
@@ -1027,10 +1019,13 @@ def divisor_label_classes(n):
 
 @dataclass
 class CoveringReport(CheckReport):
-    """Outcome of checking the 2-to-1 cell map double cover -> projective."""
+    """Outcome of checking the 2-to-1 cell map double cover -> projective.
+
+    mapping is the read-only int64 array of each cover cell's image.
+    """
 
     n: int
-    mapping: tuple = ()
+    mapping: np.ndarray
 
     def __str__(self):
         return f"double cover of n={self.n}: {len(self.mapping)} cells map 2-to-1: {self.verdict}"
@@ -1053,7 +1048,8 @@ def covering_map(cover, projective):
     if not (cover.is_full_depth() and projective.is_full_depth()):
         raise MosaicError("covering check needs fully built complexes")
     image = _row_indices(projective, *_cell_rows(cover, range(len(cover.cells))))
-    return CoveringReport(n=cover.n, mapping=tuple(image.tolist()), failures=_check_map(
+    image.flags.writeable = False
+    return CoveringReport(n=cover.n, mapping=image, failures=_check_map(
         cover, image, partial(_parent_rows, projective), 2, len(projective.cells), "projective"))
 
 

@@ -208,11 +208,7 @@ def cayley_count(n, k):
         raise RangeError(f"need n >= 3, got {n}")
     if not 0 <= k <= n - 3:
         raise RangeError(f"need 0 <= k <= {n - 3} for a {n}-gon, got k={k}")
-    num = comb(n - 3, k) * comb(n - 1 + k, k)
-    if num % (k + 1):
-        raise InvariantViolation(f"C(n-3, k) * C(n-1+k, k) = {num} for n = {n}, "
-                                 f"k = {k} is not divisible by {k + 1}")
-    return num // (k + 1)
+    return comb(n - 3, k) * comb(n - 1 + k, k) // (k + 1)
 
 
 def dihedral_canonical(diss):

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -137,6 +138,87 @@ def test_counts_range_and_enumeration_guards():
     assert code == 64
 
 
+# sha256 of the exit code, stdout and stderr of `mosaic counts --n N FLAGS`,
+# joined by NULs, frozen
+COUNTS_SHA256 = {
+    (3, ""): "a98e9b955cd8ddaab068c8c1edf8130500f6bbd8ce354a32308e861ff3fbead4",
+    (3, "--json"): "9fda445fd4a62be061b30c6b16686dd774f1e838b797ec0a4eb578231fcb31f2",
+    (3, "--k 0"): "a98e9b955cd8ddaab068c8c1edf8130500f6bbd8ce354a32308e861ff3fbead4",
+    (3, "--table"): "a98e9b955cd8ddaab068c8c1edf8130500f6bbd8ce354a32308e861ff3fbead4",
+    (3, "--json --k 1"): "f058bda463449b048692b236eb4e8dac28c4da14f678a6159f9d88679cfbf7ac",
+    (4, ""): "c48d4b5101886266fea90eb27ff0003dcc91179fea3034ad2b9ecb349f41a77b",
+    (4, "--json"): "3e8f04b88fd359d096d724f5c7336c883387be76ef5150f6582e3ba51e302db2",
+    (4, "--k 0"): "a35a8935666d522402befd251fb9ed66392de71d57d1d2a0791e7a2d491072e9",
+    (4, "--k 1"): "6ef84af98245f293f1254356c930e66191e001099c0cab2b78075b9e5ebfa4ea",
+    (4, "--json --k 1"): "eba9054b066c632e7954d339c8a8bb94a7301dfae56cdff832cbbf25f7efdb39",
+    (5, ""): "612471200acfa3b4a8317e78170b89a4013ec1769819596687d4b1b896bc03be",
+    (5, "--json"): "53d648d0c17286474a9289ba87f6b30b4f1673456d98387e25f232e8a8313812",
+    (5, "--k 0"): "4c15667864a1b874a5a44885fdae435fe3ae489c5b4352adf6141ff63b5ddaad",
+    (5, "--k 2"): "2597e704b5d28bc8970d127d4d2bf1bd1f65bd1a95ebc825c22b76c5570a4cfc",
+    (5, "--json --k 1"): "38f94252f482c976d7e9a4934aa9134d1083cf2d4bcf902e1f9dcc64f212f17b",
+    (6, ""): "6b7840b8bde7c4a15972d1cdc4e49918a793429be037da5fdcda5526ca9d1543",
+    (6, "--json"): "00afc70d42c00ba794bbd07dd9678c8e093001fc4526835458e3a3588490793d",
+    (6, "--k 0"): "6d3df5734af28da7b3b098d574c9dc8f8cecd06ced28a708ceba44fb933ae0bd",
+    (6, "--k 3"): "95c4587db04f8d177afb43c4d9aaa6ccd532f7903605cf5f14ff46389a278544",
+    (6, "--json --k 1"): "c17b5ba6159d44638a37a8f5940a29aacd5146e4252bc808c2d407cffc218bcf",
+    (7, ""): "b625f87c7504fa7a9882bde93c6210e0e8dc950834b26c522181df65a5d95016",
+    (7, "--json"): "2685c1cbb8d40d0d795cf67c29cc581283edabb6f5b24a90eaf8e9fb7c1e9393",
+    (7, "--k 0"): "909e4a84dd974653213ce07881302e26540d503056baa7b1255dc407539be768",
+    (7, "--k 4"): "86b4c2269b94d74a5864fa59241ca4f6bba06257f30c91448b40dedbdbaaa04f",
+    (7, "--json --k 1"): "db5896204a3cc8bec3afb566a1969805e30d32ac28bfc6169495aa10fcb50281",
+    (8, ""): "f09302a67a9205f8a9a45922b57ce3f2dbd2de035ad6b8ceff4bd803c0fa34ca",
+    (8, "--json"): "97b3e84a2ad451e42be463ab27ec4fe2091987aebb0857323b9dc2fc1baa458f",
+    (8, "--k 0"): "28e58bed9434e676ec798e00f08c6fe7adee9e049c8a21ebdc05a8f0c21ad58c",
+    (8, "--k 5"): "50c000bc04264ba15402027374b87dc738101331816fbd797046d104ed3b173d",
+    (8, "--json --k 1"): "aecfd9767b964341345eef9d401fe55dc2023de986572566e52dce5386c0318a",
+    (9, ""): "c34fc5e3e0e523a47b00e6e388a1e4dc9464f76af00900455ed032c78063f891",
+    (9, "--json"): "23c51c1bc28a9a2a58127bccf555ba8323ee6a9a6b228364a3f5f32ec16be77e",
+    (9, "--k 0"): "96c1b2991c69ab23b0c003cf463a3a9c2f487fc06f6d5b807f753f6ec2436a46",
+    (9, "--k 6"): "f315555327be0feca7ac7a52cfc1c623c883714c61786ea8e9ae868d0b9e550c",
+    (9, "--json --k 1"): "fb0129368986cc256ec713764d91242ad0ff430f36a761de9780950c06c0f411",
+    (10, ""): "e4f3f2422da1e91ab2b31f499fc8d852fbab9cd7702479d6b4b5944c7de4379f",
+    (10, "--json"): "7c25a076463af15fb4d549310b2f28acace5ed1b3f13e53a4b12de99047af4b2",
+    (10, "--k 0"): "4f591ebdde3ab4dff119c3b8ac1da169ee35582d722eac94115ee7da33ba283c",
+    (10, "--k 7"): "48da0a334f7ed7968ef383d2a993bbb448278ed7b7441c3ac7a0881d161f913d",
+    (10, "--json --k 1"): "7881cbcdeba9865a7597cb8d2826a1651b843cf9a3a53facc4bd779514fa7094",
+}
+
+
+@pytest.mark.parametrize("n,flags", sorted(COUNTS_SHA256))
+def test_counts_output_is_frozen(n, flags):
+    code, out, err = run_cli("counts", "--n", str(n), *flags.split())
+    digest = hashlib.sha256(f"{code}\0{out}\0{err}".encode()).hexdigest()
+    assert digest == COUNTS_SHA256[n, flags]
+
+
+def test_counts_builds_up_to_the_build_limit(monkeypatch):
+    monkeypatch.setattr(moduli, "_BUILD_LIMIT", 5)
+    code, out, err = run_cli("counts", "--n", "6")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[1].split() == ["k", "sets", "counted", "proj", "double"]
+    assert lines[2].split() == ["0", "1", "1", "60", "120"]
+    assert all(len(line.split()) == 5 for line in lines[2:6])
+    assert lines[6:] == ["euler proof_sum: 0", "euler closed_form: 0"]
+
+
+def test_counts_holds_one_complex_at_a_time(monkeypatch):
+    real, built = moduli.build_complex, []
+
+    def build(n, mode=PROJECTIVE, max_codim=None):
+        # every complex built before this one is gone
+        assert [ref() for ref in built] == [None] * len(built)
+        complex_ = real(n, mode, max_codim)
+        built.append(weakref.ref(complex_))
+        return complex_
+
+    monkeypatch.setattr(moduli, "build_complex", build)
+    code, out, _ = run_cli("counts", "--n", "6")
+    assert code == 0
+    assert len(built) == 2
+    assert "euler enumerated: 0" in out.splitlines()
+
+
 def test_complex_table():
     code, out, _ = run_cli("complex", "--n", "5")
     assert code == 0
@@ -247,6 +329,7 @@ def test_divisor_pass():
 def test_divisor_prints_each_failure_and_exits_2(monkeypatch):
     def failing(complex_, subset):
         return moduli.DivisorReport(n=6, subset=subset, factor_sizes=(4, 4),
+                                    sub_f_vector=(9, 18, 9),
                                     failures=["cell 0: broken on purpose", "cell 1: also"])
 
     monkeypatch.setattr(moduli, "verify_divisor_factorization", failing)

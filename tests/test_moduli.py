@@ -219,6 +219,21 @@ def test_double_cover_f_vectors(n, cache):
     assert len(complex_.tiles()) == tile_count(n, DOUBLE_COVER) == factorial(n - 1)
 
 
+def test_the_closed_forms_divide_exactly():
+    # cayley_count and closed_form_f_vector floor-divide: both divisions
+    # must be exact, Kirkman-Cayley by k + 1 and the classes by 2^k
+    for n in range(3, 41):
+        tiles = {PROJECTIVE: factorial(n - 1) // 2, DOUBLE_COVER: factorial(n - 1)}
+        for k in range(n - 2):
+            dissections = comb(n - 3, k) * comb(n - 1 + k, k)
+            assert dissections % (k + 1) == 0
+            assert cayley_count(n, k) == dissections // (k + 1)
+            for mode, count in tiles.items():
+                labeled = count * (dissections // (k + 1))
+                assert labeled % 2**k == 0
+                assert closed_form_f_vector(n, mode)[k] == labeled // 2**k
+
+
 def test_smallest_complex_is_a_point():
     complex_ = build_complex(3)
     assert complex_.f_vector() == (1,)
@@ -731,8 +746,14 @@ def test_covering_map_is_two_to_one(n, cache):
     assert str(report) == (f"double cover of n={n}: {2 * sum(F_PROJECTIVE[n])} cells "
                            f"map 2-to-1: pass")
     assert len(report.mapping) == 2 * sum(F_PROJECTIVE[n])
-    assert report.mapping == tuple(projective.cell_for(cell.representative).index
-                                   for cell in cover.cells)
+    assert report.mapping.tolist() == [projective.cell_for(cell.representative).index
+                                       for cell in cover.cells]
+
+
+def test_the_covering_map_keeps_a_read_only_image(cache):
+    mapping = covering_map(cache.full(5, DOUBLE_COVER), cache.full(5)).mapping
+    assert mapping.dtype == np.int64
+    assert not mapping.flags.writeable
 
 
 def test_covering_map_names_a_lift_whose_parents_do_not_match(cache):
