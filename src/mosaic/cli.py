@@ -34,6 +34,9 @@ def _label_set(text):
         raise argparse.ArgumentTypeError(f"not a comma-separated label list: {text!r}")
     if not values:
         raise argparse.ArgumentTypeError("empty label set")
+    repeated = next((x for i, x in enumerate(values) if x in values[:i]), None)
+    if repeated is not None:
+        raise argparse.ArgumentTypeError(f"label {repeated} is repeated in {text!r}")
     return frozenset(values)
 
 

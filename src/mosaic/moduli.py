@@ -93,7 +93,7 @@ DOUBLE_COVER = "double-cover"
 _MODES = (PROJECTIVE, DOUBLE_COVER)
 
 _BUILD_LIMIT = 8
-_SLICE = 2048       # the rows walked through the flip tables at once
+_SLICE = 2048       # the fewest rows a slice through the flip tables holds (_slice_rows)
 
 
 def _check_mode(mode):
@@ -234,7 +234,9 @@ class _Grade:
 
     weights repeats order for _least_codes, whose one einsum walks a
     2048-row slice of n = 8, grade 4 in 135 us, against 170 us through
-    order (2-vCPU Xeon, numpy 2.4); the n = 8 build walks 708 slices.
+    order (2-vCPU Xeon, numpy 2.4).  A walk takes slices of at least
+    2048 rows, and at most 65 slices a grade (_slice_rows): the n = 8
+    projective build walks 273 slices, the n = 8 double cover 312.
     """
 
     def __init__(self, n, mode, k):
@@ -261,9 +263,13 @@ class _Grade:
             ids = np.concatenate([ids, move[t, ids]], axis=1)
         ends = np.array(ends, dtype=np.int8).reshape(m, 2, size)
         self.order = np.ascontiguousarray(order.reshape(size, n))
-        # weights[row, order[row, x]] is the weight of the label read xth
+        # weights[row, order[row, x]] is the weight of the label read xth:
+        # a cell's code is the base-(n+1) value of its labels times the
+        # number of diagonal sets, plus the index of its set, so it sorts
+        # as cells do
         weights = np.empty(self.order.shape, dtype=np.int64)
-        weights[np.arange(size)[:, None], self.order] = _label_weights(n) * count
+        place = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+        weights[np.arange(size)[:, None], self.order] = place * count
         turned = self.set_index((np.int64(1) << ids.reshape(size, k)).sum(axis=1))
         self.flips = ends, weights, turned.astype(np.int32)
         self.first_row = {mask: s << m for s, mask in enumerate(self.masks.tolist())}
@@ -291,6 +297,18 @@ def _turn(n, mode, block, children):
     return order, np.array([block_id[blk] for blk in moved], dtype=np.int8)
 
 
+def _slice_rows(count):
+    """The rows in each slice of a walk of count rows through the flip tables.
+
+    2048 (_SLICE), or count >> 6 once that is more, so no walk takes more
+    than 65 slices and numpy's per-call cost stays small against the
+    work.  A slice's temporaries, about 150 bytes a row, stay under a
+    third of the int64 keys of a grade that long.  Every grade of n <= 7
+    has fewer than 64 * 2048 rows, so it walks 2048 rows at a time.
+    """
+    return max(_SLICE, count >> 6)
+
+
 def _least_codes(flips, labels, sets):
     """The codes of the least members of labelings: cell_class's node loop on arrays.
 
@@ -308,16 +326,6 @@ def _least_codes(flips, labels, sets):
 
 
 @lru_cache(maxsize=None)
-def _label_weights(n):
-    # a cell's code: the base-(n+1) value of its labels times the number
-    # of diagonal sets, plus the index of its set; it sorts as cells do.
-    # Cached for every _unpack, so the one array is read-only
-    weights = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    weights.flags.writeable = False
-    return weights
-
-
-@lru_cache(maxsize=None)
 def _diagonal_bits(n):
     # entries u * n + v and v * n + u: 1 << the number of the diagonal
     # (u, v) in polygon_diagonals, so a diagonal set's bit mask is a sum
@@ -327,12 +335,31 @@ def _diagonal_bits(n):
     return tuple(bits)
 
 
+@lru_cache(maxsize=None)
+def _digits(n, width):
+    # row v: the width base-(n+1) digits of v, most significant first, as
+    # int8; cached for every _unpack, so the one array is read-only
+    digits = np.indices((n + 1,) * width, dtype=np.int8).reshape(width, -1).T.copy()
+    digits.flags.writeable = False
+    return digits
+
+
 def _unpack(codes, n, set_count):
-    """The int8 label rows and the int32 set indices of the cells with these codes."""
+    """The int8 label rows and the int32 set indices of the cells with these codes.
+
+    A code's label value splits, by one divmod, into its first n - n//2
+    digits and its last n//2, and each half reads its digits from a table
+    (_digits) with take, which costs less than fancy indexing on the one
+    code of cells[i]; a chunk of 16K codes at a time.
+    """
     labels, sets = np.divmod(codes, set_count)
+    low = n // 2
+    high_digits, low_digits = _digits(n, n - low), _digits(n, low)
     rows, step = np.empty((len(codes), n), dtype=np.int8), 1 << 14
-    for lo in range(0, len(codes), step):          # a chunk's digits: n int64s a code
-        rows[lo:lo + step] = labels[lo:lo + step, None] // _label_weights(n) % (n + 1)
+    for lo in range(0, len(codes), step):
+        high, rest = np.divmod(labels[lo:lo + step], (n + 1) ** low)
+        rows[lo:lo + step, :n - low] = high_digits.take(high, axis=0)
+        rows[lo:lo + step, n - low:] = low_digits.take(rest, axis=0)
     return rows, sets.astype(np.int32)
 
 
@@ -563,12 +590,13 @@ def _grow(grade, prev, rows, sets):
     ends = np.cumsum(sizes)
     offset = bounds[below.ravel()] - (ends - sizes)   # result i of run r: by_set[offset[r] + i]
     keys = np.empty(ends[-1], dtype=np.int64)
-    for lo in range(0, len(keys), _SLICE):
-        at = np.arange(lo, min(lo + _SLICE, len(keys)))
+    width = _slice_rows(len(keys))
+    for lo in range(0, len(keys), width):
+        at = np.arange(lo, min(lo + width, len(keys)))
         run = np.searchsorted(ends, at, side="right")
         parent = by_set[offset[run] + at]
         code = _least_codes(grade.flips, rows[parent], run // below.shape[1])
-        keys[lo:lo + _SLICE] = code << shift | parent
+        keys[lo:lo + width] = code << shift | parent
     return keys, shift
 
 
@@ -693,9 +721,10 @@ def _row_indices(target, rows, counts, ends):
         sets = grade.set_index(masks[mine])
         # a slice at a time, as in _grow: a whole grade's rows of weights
         # would raise the peak
-        codes = np.concatenate([_least_codes(grade.flips, turned[mine[lo:lo + _SLICE]],
-                                             sets[lo:lo + _SLICE])
-                                for lo in range(0, len(mine), _SLICE)])
+        width = _slice_rows(len(mine))
+        codes = np.concatenate([_least_codes(grade.flips, turned[mine[lo:lo + width]],
+                                             sets[lo:lo + width])
+                                for lo in range(0, len(mine), width)])
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         hit = (own[at] == codes) & np.isin(masks[mine], grade.masks)
         found[mine[hit]] = start + at[hit]

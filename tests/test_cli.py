@@ -356,6 +356,18 @@ def test_bad_input_is_rejected_before_any_build(monkeypatch, argv, message):
     assert err == message
 
 
+@pytest.mark.parametrize("labels, repeated", (("1,1,2", 1), ("3,1,2,1,3", 1), ("2,5,5", 5)))
+def test_a_repeated_label_is_rejected_before_any_build(monkeypatch, labels, repeated):
+    def no_build(*args, **kwargs):
+        raise AssertionError("built a complex for a label set with a repeat")
+
+    monkeypatch.setattr(moduli, "build_complex", no_build)
+    code, out, err = run_cli("divisor", "--n", "8", "--set", labels)
+    assert code == 64
+    assert out == ""
+    assert err.endswith(f"error: argument --set: label {repeated} is repeated in {labels!r}\n")
+
+
 def test_divisor_usage_errors():
     code, _, err = run_cli("divisor", "--n", "6", "--set", "1")
     assert code == 64

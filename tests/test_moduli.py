@@ -477,6 +477,103 @@ def test_build_peaks_within_a_small_multiple_of_what_it_keeps(mode):
     assert peak < 3.5 * kept, f"peak {peak} bytes, {kept} bytes kept"
 
 
+def arithmetic_decode(codes, n, set_count):
+    # a code's labels, one base-(n+1) digit a position, and its set index
+    codes = np.asarray(codes, dtype=np.int64)
+    powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    return codes[:, None] // set_count // powers % (n + 1), codes % set_count
+
+
+def assert_unpacks(codes, n, set_count):
+    rows, sets = moduli._unpack(codes, n, set_count)
+    labels, want = arithmetic_decode(codes, n, set_count)
+    assert rows.dtype == np.int8 and sets.dtype == np.int32
+    assert (rows == labels).all() and (sets == want).all()
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+def test_unpack_reads_the_digits_of_each_code(n, mode, cache):
+    complex_ = cache.full(n, mode)
+    chunk = 1 << 14
+    for k, codes in complex_._codes.items():
+        set_count, (start, end) = cayley_count(n, k), complex_.grade_range[k]
+        assert_unpacks(codes, n, set_count)
+        # the first and the last code, alone and through cells[i]
+        for at in (0, len(codes) - 1):
+            assert_unpacks(codes[at:at + 1], n, set_count)
+            labels, s = arithmetic_decode(codes[at:at + 1], n, set_count)
+            cell = complex_.cells[start + at]
+            assert cell.labels == tuple(labels[0].tolist())
+            assert cell.diagonals == enumerate_diagonal_sets(n, k)[s[0]]
+        if len(codes) > chunk + 2:
+            # a run that starts inside the grade and spans two chunks
+            assert_unpacks(codes[1:chunk + 2], n, set_count)
+    for width in {n // 2, n - n // 2}:
+        table = moduli._digits(n, width)
+        assert table.shape == ((n + 1) ** width, width) and not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 1
+
+
+def test_unpack_reads_synthetic_codes_of_n_9():
+    # n = 9 is past the build limit: every digit 0..9 at every position,
+    # the two extreme label values and a run over two 16K chunks
+    rng, n, set_count = np.random.default_rng(20261020), 9, cayley_count(9, 3)
+    digits = rng.integers(0, n + 1, size=((1 << 14) + 100, n))
+    digits[:n + 1] = np.arange(n + 1)[:, None]
+    digits[-1] = n
+    powers = (n + 1) ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    codes = (digits @ powers) * set_count + rng.integers(0, set_count, size=len(digits))
+    assert_unpacks(codes, n, set_count)
+    assert_unpacks(codes[-1:], n, set_count)
+    assert not moduli._digits(9, 4).flags.writeable and not moduli._digits(9, 5).flags.writeable
+
+
+def slice_counts(n, mode, monkeypatch):
+    # the number of _least_codes calls in each grade of a build
+    counts, grow, least = [], moduli._grow, moduli._least_codes
+
+    def counted_grow(*args):
+        counts.append(0)
+        return grow(*args)
+
+    def counted_least(*args):
+        counts[-1] += 1
+        return least(*args)
+
+    monkeypatch.setattr(moduli, "_grow", counted_grow)
+    monkeypatch.setattr(moduli, "_least_codes", counted_least)
+    build_complex(n, mode)
+    return tuple(counts)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+def test_builds_to_n_7_walk_2048_rows_at_a_time(n, mode, monkeypatch):
+    # grade 0 grows from the (n-1)! labelings, grade k >= 1 from the 2k
+    # pairs that reach each of its cells
+    pairs = [factorial(n - 1)] + [2 * k * cells
+                                  for k, cells in enumerate(closed_form_f_vector(n, mode)) if k]
+    assert max(pairs) < 64 * 2048
+    assert slice_counts(n, mode, monkeypatch) == tuple(-(-p // 2048) for p in pairs)
+
+
+@pytest.mark.parametrize("mode, slices", ((PROJECTIVE, (3, 25, 64, 65, 65, 51)),
+                                          (DOUBLE_COVER, (3, 50, 64, 65, 65, 65))))
+def test_n_8_builds_walk_at_most_65_slices_a_grade(mode, slices, monkeypatch):
+    assert slice_counts(8, mode, monkeypatch) == slices
+
+
+@pytest.mark.parametrize("count", (0, 1, 2047, 2048, 2049, 64 * 2048 - 1, 64 * 2048,
+                                   64 * 2048 + 63, 64 * 2048 + 64, 10 ** 6 + 7, 3 * 10 ** 7))
+def test_a_walk_takes_at_most_65_slices_of_at_least_2048_rows(count):
+    width = moduli._slice_rows(count)
+    assert width >= 2048 and -(-count // width) <= 65
+    # a slice's temporaries, about 150 bytes a row, under a third of the keys
+    assert width * 150 < count * 8 / 3 or width == 2048
+
+
 # ---------------------------------------------------------------------------
 # divisors
 
