@@ -283,6 +283,8 @@ def cmd_quasibraid(args):
 
 
 def cmd_verify(args):
+    if args.n_max < 3:
+        raise RangeError(f"verify supports --n-max >= 3, got {args.n_max}")
     if args.n_max > acceptance.N_MAX:
         raise RangeError(f"verify supports --n-max <= {acceptance.N_MAX}, got {args.n_max}")
     results = acceptance.run_all(args.n_max, emit=print)

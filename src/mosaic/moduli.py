@@ -783,10 +783,8 @@ def closed_form_f_vector(n, mode=PROJECTIVE):
     Classes carry 2^k dissections each, so codim k holds
     tiles * cayley_count(n, k) / 2^k cells, an exact division.
     """
-    _check_mode(mode)
-    if n < 3:
-        raise RangeError(f"need n >= 3, got {n}")
-    return tuple(tile_count(n, mode) * cayley_count(n, k) // 2**k for k in range(n - 2))
+    tiles = tile_count(n, mode)
+    return tuple(tiles * cayley_count(n, k) // 2**k for k in range(n - 2))
 
 
 def euler_closed_form(n):

@@ -3,14 +3,15 @@
 Generators are the diagonals of the reference n-gon.  Each diagonal
 cuts off a run of sides away from the marked side n, its free part, and
 acts on labels by reversing that run.  relations(n) reads no cell
-complex: it superimposes pairs of diagonals on the reference polygon,
-once per n, and lists three relation families:
+complex: it reads each superimposable pair of diagonals through
+conjugate_in, once per n.  Besides the involutions s s = 1, every such
+pair gives one conjugation relation
 
-  involution   s s = 1 for every generator,
-  commuting    s_a s_b = s_b s_a whenever the superimposed pair is
-               preserved positionwise by both marked twists,
-  conjugation  s_d s_a = s_b s_d otherwise, with d the outer diagonal
-               and b the reflection of a through d's twist.
+  s_d s_a = s_{d(a)} s_d,
+
+with d(a) the diagonal that d's marked twist makes of a.  The pair
+commutes, and is listed as s_a s_b = s_b s_a, when neither diagonal's
+twist moves the other.
 
 The homomorphism phi sends each generator to its free-part reversal in
 the symmetric group on 1..n-1.  check_phi evaluates both sides of every
@@ -105,26 +106,6 @@ def phi_word(word, n):
     return out
 
 
-def free_reduce(word):
-    """Cancel adjacent equal generators (all generators are involutions)."""
-    stack = []
-    for g in word:
-        if stack and stack[-1] == g:
-            stack.pop()
-        else:
-            stack.append(g)
-    return tuple(stack)
-
-
-def _superimposed(a, b):
-    base = reference_polygon(a.n, (a.diagonal,))
-    other = reference_polygon(a.n, (b.diagonal,))
-    pair = superimpose(base, other)
-    if pair is None:
-        raise NotSI(f"diagonals {a.diagonal} and {b.diagonal} do not superimpose")
-    return pair
-
-
 def conjugate_in(d, a):
     """The generator conjugate to `a` inside `d`.
 
@@ -135,7 +116,10 @@ def conjugate_in(d, a):
     """
     if d.n != a.n:
         raise NotSI(f"generators live on different polygons: {d.n} vs {a.n}")
-    pair = _superimposed(d, a)
+    pair = superimpose(reference_polygon(d.n, (d.diagonal,)),
+                       reference_polygon(d.n, (a.diagonal,)))
+    if pair is None:
+        raise NotSI(f"diagonals {d.diagonal} and {a.diagonal} do not superimpose")
     twisted = marked_twist(pair, d.diagonal)
     rest = set(twisted.diagonals) - {d.diagonal}
     if len(rest) != 1:
@@ -157,34 +141,31 @@ class Relation:
 def relations(n):
     """The defining relations as one tuple, made once per n, in a fixed order.
 
-    Involutions come first, then one relation per superimposable pair.
-    A pair commutes when both marked twists of the superimposed
-    dissection leave the diagonal positions in place (disjoint free
-    parts, or nested parts reflecting onto themselves); any other pair
-    is nested off-center and contributes a conjugation whose conjugator
-    is the outer diagonal.
+    Involutions come first, then one relation per superimposable pair
+    a < b: the conjugation (a, b) = (b', a) when a's twist moves b to
+    b', else (b, a) = (a', b) when b's twist moves a to a', else the
+    commuting relation (a, b) = (b, a).  The conjugator must contain
+    the diagonal it moves.
     """
     gens = generators(n)
     rels = [Relation("involution", (g, g), ()) for g in gens]
     for a, b in combinations(gens, 2):
         try:
-            pair = _superimposed(a, b)
+            b_in_a = conjugate_in(a, b)
         except NotSI:
             continue
-        twisted_a = marked_twist(pair, a.diagonal)
-        twisted_b = marked_twist(pair, b.diagonal)
-        if set(twisted_a.diagonals) == set(twisted_b.diagonals):
-            rels.append(Relation("commuting", (a, b), (b, a)))
-            continue
-        (ai, aj), (bi, bj) = a.diagonal, b.diagonal
-        if ai <= bi and bj <= aj:
-            outer, inner = a, b
-        elif bi <= ai and aj <= bj:
-            outer, inner = b, a
+        if b_in_a != b:
+            outer, inner, third = a, b, b_in_a
         else:
+            a_in_b = conjugate_in(b, a)
+            if a_in_b == a:
+                rels.append(Relation("commuting", (a, b), (b, a)))
+                continue
+            outer, inner, third = b, a, a_in_b
+        (oi, oj), (ii, ij) = outer.diagonal, inner.diagonal
+        if not (oi <= ii and ij <= oj):
             raise InvariantViolation(
                 f"noncommuting pair {a.diagonal}/{b.diagonal} is not nested")
-        third = conjugate_in(outer, inner)
         rels.append(Relation("conjugation", (outer, inner), (third, outer)))
     return tuple(rels)
 

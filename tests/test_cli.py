@@ -485,6 +485,14 @@ def test_verify_range_guard():
     assert err == "error: verify supports --n-max <= 8, got 9\n"
 
 
+@pytest.mark.parametrize("n_max", ("-3", "0", "2"))
+def test_verify_rejects_n_max_below_3_before_any_work(n_max):
+    code, out, err = run_cli("verify", "--n-max", n_max)
+    assert code == 64
+    assert out == ""
+    assert err == f"error: verify supports --n-max >= 3, got {n_max}\n"
+
+
 def test_verify_prints_a_failed_criterion_and_exits_2(monkeypatch):
     monkeypatch.setattr(operad, "check_operad_axioms",
                         lambda n: SimpleNamespace(passed=False, failures=["broken on purpose"]))
