@@ -230,6 +230,8 @@ def cmd_complex(args):
 
 
 def cmd_divisor(args):
+    if not 4 <= args.n <= moduli._BUILD_LIMIT:
+        raise RangeError(f"divisor supports 4 <= n <= {moduli._BUILD_LIMIT}, got {args.n}")
     subset = moduli.normalize_divisor_subset(args.n, args.subset)
     complex_ = moduli.build_complex(args.n, PROJECTIVE)
     report = moduli.verify_divisor_factorization(complex_, subset)

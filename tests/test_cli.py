@@ -344,6 +344,9 @@ def test_divisor_prints_each_failure_and_exits_2(monkeypatch):
     (("divisor", "--n", "8", "--set", "1,99"),
      "error: subset [1, 99] is not within 1..8\n"),
     (("divisor", "--n", "8", "--set", "1"), "error: need 2 <= |S| <= 6, got [1]\n"),
+    # the range of n is checked before the subset, which needs n >= 4
+    *((("divisor", "--n", n, "--set", "1,2"), f"error: divisor supports 4 <= n <= 8, got {n}\n")
+      for n in ("-1", "2", "3")),
 ])
 def test_bad_input_is_rejected_before_any_build(monkeypatch, argv, message):
     def no_build(*args, **kwargs):

@@ -847,6 +847,44 @@ def test_covering_map_is_two_to_one(n, cache):
                                        for cell in cover.cells]
 
 
+def counted_walk(monkeypatch):
+    # each _row_indices call of a covering map: its grade, its first
+    # cover index and its number of rows
+    calls, walk = [], moduli._row_indices
+
+    def counted(target, rows, counts, ends, first=0):
+        assert len(set(counts.tolist())) == 1
+        calls.append((int(counts[0]), first, len(rows)))
+        return walk(target, rows, counts, ends, first)
+
+    monkeypatch.setattr(moduli, "_row_indices", counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", (4, 5, 6, 7))
+def test_covering_map_walks_each_grade_in_slices_of_2048(n, monkeypatch, cache):
+    cover = cache.full(n, DOUBLE_COVER)
+    calls = counted_walk(monkeypatch)
+    assert covering_map(cover, cache.full(n)).passed
+    want = [(k, lo, min(2048, end - lo)) for k, (start, end) in cover.grade_range.items()
+            for lo in range(start, end, 2048)]
+    assert calls == want
+    assert [sum(k == c for c, _, _ in calls) for k in cover.grade_range] == \
+        [-(-2 * cells // 2048) for cells in F_PROJECTIVE[n]]
+
+
+def test_the_n8_covering_map_walks_at_most_65_slices_a_grade(monkeypatch, cache):
+    cover = build_complex(8, DOUBLE_COVER)
+    calls = counted_walk(monkeypatch)
+    assert covering_map(cover, cache.full(8)).passed
+    slices = [sum(k == c for c, _, _ in calls) for k in cover.grade_range]
+    assert max(slices) <= 65, slices
+    # the slices tile the cover's cells in order, each inside one grade
+    assert [lo for _, lo, _ in calls] == np.cumsum([0] + [m for _, _, m in calls[:-1]]).tolist()
+    assert sum(m for _, _, m in calls) == len(cover.cells)
+    assert all(lo + m <= cover.grade_range[k][1] for k, lo, m in calls)
+
+
 def test_the_covering_map_keeps_a_read_only_image(cache):
     mapping = covering_map(cache.full(5, DOUBLE_COVER), cache.full(5)).mapping
     assert mapping.dtype == np.int64
@@ -898,6 +936,44 @@ def test_covering_map_names_a_cover_cell_over_no_projective_cell(edit, cache):
     with pytest.raises(UnknownCell, match=rf"^row {cell.index}: {re.escape(repr(labels))} "
                        rf"with diagonals {re.escape(repr(diagonals))} lies in no cell"):
         run()
+
+
+def test_covering_map_names_an_edited_cover_cell_by_its_cover_index(cache):
+    # the edited cell sits in the third slice of grade 2 of the n = 7 cover
+    projective, cover = cache.full(7), build_complex(7, DOUBLE_COVER)
+    start, end = cover.grade_range[2]
+    index = start + 2 * 2048 + 5
+    assert index < min(start + 3 * 2048, end)
+    cell = cover.cells[index]
+    labels = tuple(3 if x == 2 else x for x in cell.labels)
+    codes, sets = cover._codes[2], len(enumerate_diagonal_sets(7, 2))
+    codes[index - start] = sum(x * 8 ** (6 - p) for p, x in enumerate(labels)) * sets \
+        + codes[index - start] % sets
+    assert cover.cells[index].labels == labels
+    with pytest.raises(UnknownCell, match=rf"^row {index}: {re.escape(repr(labels))} "
+                       rf"with diagonals {re.escape(repr(cell.diagonals))} lies in no cell"):
+        covering_map(cover, projective)
+
+
+def test_check_map_names_broken_rows_past_the_first_slice(cache):
+    # rows 3000 and the last row of grade 2 of a copy of the n = 7 complex
+    # get a parent outside their rows; mapped by the identity onto the
+    # intact complex, each names its own cell, in the second and the
+    # third slice of the level
+    intact, broken = cache.full(7), build_complex(7)
+    level = broken.levels[2]
+    assert len(level.parents) > 4096
+    rows = (3000, len(level.parents) - 1)
+    for row in rows:
+        parents = level.parents[row]
+        parents[0] = next(e for e in range(*broken.grade_range[1]) if e not in parents)
+        parents.sort()
+    size = len(intact.cells)
+    failures = _check_map(broken, np.arange(size), partial(_parent_rows, intact), 1, size, "own")
+    assert failures == [
+        f"grade 2: the parents of cell {level.start + row} map to "
+        f"{level.parents[row].tolist()}, the parents of its image {level.start + row} "
+        f"are {intact.levels[2].parents[row].tolist()}" for row in rows]
 
 
 def test_row_indices_skip_a_grade_with_no_rows(cache):
