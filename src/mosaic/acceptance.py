@@ -35,12 +35,6 @@ class ComplexCache:
             self._store[key] = moduli.build_complex(n, mode)
         return self._store[key]
 
-    def tiles_only(self, n, mode):
-        key = (n, mode, 0)
-        if key not in self._store:
-            self._store[key] = moduli.build_complex(n, mode, max_codim=0)
-        return self._store[key]
-
 
 @dataclass
 class CriterionResult:
@@ -76,7 +70,7 @@ def _c02_tiles(cache, ns):
         got = len(cache.full(n, PROJECTIVE).tiles())
         if got != half:
             return False, f"projective n={n}: {got} tiles, expected {half}"
-        cover = (cache.tiles_only(n, DOUBLE_COVER) if n == 8
+        cover = (moduli.build_complex(8, DOUBLE_COVER, max_codim=0) if n == 8
                  else cache.full(n, DOUBLE_COVER))
         got = len(cover.tiles())
         if got != 2 * half:

@@ -50,9 +50,9 @@ as `resolve` does.  The queries read the codes and the parent tables as
 arrays and make no Cell: divisors, surface recognition, and the
 covering map and the divisor factorization check.  Those two walk their
 cells through the kept grades' tables (`_row_indices`, with
-`_least_codes`), the covering map a slice of a grade at a time and the
-check a divisor's cells at once, and push each level's parent rows
-through the map a slice at a time (`_check_map`).
+`_least_codes`, one call a grade): the covering map a slice of a grade
+at a time and the check a divisor's cells at once, and push each level's
+parent rows through the map a slice at a time (`_check_map`).
 """
 
 from __future__ import annotations
@@ -302,14 +302,15 @@ def _turn(n, mode, block, children):
 def _slice_rows(count):
     """The rows in each slice of a walk of count rows.
 
-    Four walks take these slices: a grade's growth through the flip
-    tables (_grow), the rows _row_indices is handed, the cells of a cover
-    grade (covering_map) and a level's parent rows (_check_map).  2048
-    (_SLICE), or count >> 6 once that is more, so no walk takes more than
-    65 slices and numpy's per-call cost stays small against the work.  A
-    growing slice's temporaries, about 150 bytes a row, stay under a
-    third of the int64 keys of a grade that long.  Every grade of n <= 7
-    has fewer than 64 * 2048 rows, so it walks 2048 rows at a time.
+    Three walks take these slices: a grade's growth through the flip
+    tables (_grow), the cells of a cover grade (covering_map) and a
+    level's parent rows (_check_map); _row_indices walks what it is
+    handed.  2048 (_SLICE), or count >> 6 once that is more, so no walk
+    takes more than 65 slices and numpy's per-call cost stays small
+    against the work.  A growing slice's temporaries, about 150 bytes a
+    row, stay under a third of the int64 keys of a grade that long.
+    Every grade of n <= 7 has fewer than 64 * 2048 rows, so it walks
+    2048 rows at a time.
     """
     return max(_SLICE, count >> 6)
 
@@ -332,12 +333,14 @@ def _least_codes(flips, labels, sets):
 
 @lru_cache(maxsize=None)
 def _diagonal_bits(n):
-    # entries u * n + v and v * n + u: 1 << the number of the diagonal
-    # (u, v) in polygon_diagonals, so a diagonal set's bit mask is a sum
+    # row r, entries u * n + v and v * n + u: 1 << the number in
+    # polygon_diagonals of the diagonal (u, v) of a polygon turned by r,
+    # ((u - r) % n, (v - r) % n); a turned set's bit mask is a row's sum
     bits = [0] * (n * n)
     for t, (u, v) in enumerate(polygon_diagonals(n)):
         bits[u * n + v] = bits[v * n + u] = 1 << t
-    return tuple(bits)
+    return tuple(tuple(bits[(u - r) % n * n + (v - r) % n] for u in range(n) for v in range(n))
+                 for r in range(n))
 
 
 @lru_cache(maxsize=None)
@@ -402,8 +405,7 @@ class ModuliComplex:
     cells sit at codimension 1 of the ambient complex.  A complex also
     keeps what its lookups make once: each grade with its flip tables
     (_lookup), the label splits of grade 1 that every divisor reads, and
-    for the walks each grade's diagonal sets as one array (_cell_rows)
-    and the bit of each diagonal under each turn (_row_indices).
+    for the walks each grade's diagonal sets as one array (_cell_rows).
     """
 
     def __init__(self, n, mode, codes, levels, codim_offset=0, divisor_set=None):
@@ -424,8 +426,7 @@ class ModuliComplex:
                                {ds: s for s, ds in enumerate(sets)})
             start += len(grade)
         self._label_set = frozenset(range(1, n + 1))
-        self._tables, self._grade1_splits = {}, None
-        self._set_ends, self._bits = {}, None
+        self._tables, self._grade1_splits, self._set_ends = {}, None, {}
 
     def _index(self, k, labels, s):
         # the index of the cell of grade k with these least labels and set
@@ -462,8 +463,11 @@ class ModuliComplex:
         """Cells of an index range (step 1), read from their codes a grade's slice at a time.
 
         Yields each slice's grade, first index, int8 label rows and int32
-        indices into the grade's diagonal sets, and those sets.
+        indices into the grade's diagonal sets, and those sets.  A range
+        of another step raises RangeError when the first slice is asked for.
         """
+        if indices.step != 1:
+            raise RangeError(f"decode needs a range of step 1, got {indices!r}")
         for k, (start, end) in self.grade_range.items():
             a, b = max(start, indices.start), min(end, indices.stop)
             if a < b:
@@ -525,11 +529,10 @@ class ModuliComplex:
         if not self._label_set.issuperset(labels):
             raise UnknownLabel(f"cell classes need labels 1..{n}, got {labels!r}")
         r = labels.index(1) if self.mode == PROJECTIVE else (labels.index(n) + 1) % n
-        labels, bits = labels[r:] + labels[:r], _diagonal_bits(n)
+        labels, bits = labels[r:] + labels[:r], _diagonal_bits(n)[r]
         grade = self._lookup(k)
         ends, order, turned = grade.flat
-        row = grade.first_row[sum([bits[(u - r) % n * n + (v - r) % n]
-                                   for u, v in diss.diagonals])]
+        row = grade.first_row[sum([bits[u * n + v] for u, v in diss.diagonals])]
         for bit, a, b in grade.steps:
             if labels[ends[a + row]] > labels[ends[b + row]]:
                 row += bit
@@ -704,27 +707,23 @@ def _row_indices(target, rows, counts, ends, first=0):
     rows holds each dissection's labels on target.n sides, counts its
     number of diagonals and ends its diagonals, row after row.  Each row
     is turned so label 1 comes first, with its diagonals turned along and
-    numbered by polygon_diagonals into a bit mask.  The rows of each
-    grade walk the flip tables of the grade the target keeps
-    (ModuliComplex._lookup) from their own sets (_least_codes), and their
-    least members' codes are found among the target's by one searchsorted
-    per grade.
+    numbered into a bit mask by cell_for's table (_diagonal_bits).  The
+    rows of each grade walk, in one _least_codes call, the flip tables of
+    the grade the target keeps (ModuliComplex._lookup) from their own
+    sets, and their least members' codes are found among the target's by
+    one searchsorted per grade.  Callers bound the rows they hand over:
+    one slice of a cover grade, or one divisor (n = 8: at most 12,645).
     UnknownCell names the first row that lies in no cell of the target,
     counting from first: the number of rows[0] in a longer walk.
     """
-    n = target.n
-    if target._bits is None:
-        # made once, for every walk: entry [r, u * n + v] is the bit of
-        # the diagonal (u, v) of a row turned by r
-        bits = np.array(_diagonal_bits(n)).reshape(n, n)
-        target._bits = np.stack([np.roll(bits, (r, r), axis=(0, 1)).ravel() for r in range(n)])
+    n, bits = target.n, np.array(_diagonal_bits(target.n))
     r = np.argmax(rows == 1, axis=1).astype(np.int8)
     # row i turned is window r[i] of row i written out twice
     windows = np.lib.stride_tricks.sliding_window_view(np.hstack([rows, rows]), n, axis=1)
     turned = windows[np.arange(len(rows)), r]
     owner = np.repeat(np.arange(len(rows), dtype=np.int32), counts)
     masks = np.zeros(len(rows), dtype=np.int64)
-    np.bitwise_or.at(masks, owner, target._bits[r[owner], ends[:, 0] * n + ends[:, 1]])
+    np.bitwise_or.at(masks, owner, bits[r[owner], ends[:, 0] * n + ends[:, 1]])
     found = np.full(len(rows), -1, dtype=np.int64)
     for k, (start, end) in target.grade_range.items():
         mine = np.flatnonzero(counts == k)
@@ -732,12 +731,7 @@ def _row_indices(target, rows, counts, ends, first=0):
             continue
         grade, own = target._lookup(k), target._codes[k]
         sets = grade.set_index(masks[mine])
-        # a slice at a time, as in _grow: a whole grade's rows of weights
-        # would raise the peak
-        width = _slice_rows(len(mine))
-        codes = np.concatenate([_least_codes(grade.flips, turned[mine[lo:lo + width]],
-                                             sets[lo:lo + width])
-                                for lo in range(0, len(mine), width)])
+        codes = _least_codes(grade.flips, turned[mine], sets)
         at = np.searchsorted(own, codes).clip(max=end - start - 1)
         # set_index finds a set for any mask; the hit needs its own
         hit = (own[at] == codes) & (grade.masks[sets] == masks[mine])

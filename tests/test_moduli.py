@@ -361,10 +361,13 @@ def test_cells_read_as_a_sequence(name, cache):
     for _, end in list(complex_.grade_range.values())[:-1]:
         assert _fields(cells[end - 1:end + 2]) == want[end - 1:end + 2]
     assert _fields(cells[3:9]) == want[3:9]
+    # strided cells read one at a time: decode is never handed a step
+    assert _fields(cells[::2]) == want[::2]
     assert _fields(cells[::-4]) == want[::-4]
     assert _fields(cells[2:][5:-1:2]) == want[2:][5:-1:2]
     assert _fields(cells[-1:][::-1]) == want[-1:]
     assert len(cells[size:]) == 0
+    assert list(complex_.decode(range(3, 3))) == []
     for index in (size, -size - 1):
         with pytest.raises(IndexError):
             cells[index]
@@ -405,6 +408,15 @@ def test_resolve_raises_unknown_cell_for_a_cell_it_lacks(cell, cache):
     assert type(info.value) is UnknownCell
     if cell is DEEP:
         assert cache.full(5).resolve(cell) == cell
+
+
+@pytest.mark.parametrize("indices", (range(0, 6, 2), range(5, 0, -1)))
+def test_decode_rejects_a_range_of_another_step(indices, cache):
+    # a generator: the error comes with the first slice, before any code is read
+    slices = cache.full(5).decode(indices)
+    with pytest.raises(RangeError, match=rf"^decode needs a range of step 1, got "
+                       rf"{re.escape(repr(indices))}$"):
+        next(slices)
 
 
 def test_cells_at_rejects_missing_grades(cache):
@@ -883,6 +895,45 @@ def test_the_n8_covering_map_walks_at_most_65_slices_a_grade(monkeypatch, cache)
     assert [lo for _, lo, _ in calls] == np.cumsum([0] + [m for _, _, m in calls[:-1]]).tolist()
     assert sum(m for _, _, m in calls) == len(cover.cells)
     assert all(lo + m <= cover.grade_range[k][1] for k, lo, m in calls)
+
+
+def least_calls(monkeypatch):
+    # the number of _least_codes calls since it was patched
+    calls, least = [0], moduli._least_codes
+
+    def counted(*args):
+        calls[0] += 1
+        return least(*args)
+
+    monkeypatch.setattr(moduli, "_least_codes", counted)
+    return calls
+
+
+def test_the_n8_covering_map_walks_each_slice_in_one_least_codes_call(monkeypatch, cache):
+    # one call for each of the 220 slices of the cover's grades
+    projective, cover = cache.full(8), build_complex(8, DOUBLE_COVER)
+    calls = least_calls(monkeypatch)
+    assert covering_map(cover, projective).passed
+    assert calls[0] == 220
+
+
+def test_the_n8_divisor_check_walks_one_least_codes_call_a_grade_of_each_half(
+        monkeypatch, cache):
+    # the 3-gon half is all grade 0; the 7-gon half spans grades 0..4 of
+    # the 7-gon complex, each in one call
+    factors = cache.full(3), cache.full(7)
+    calls = least_calls(monkeypatch)
+    assert verify_divisor_factorization(cache.full(8), {1, 2}, factors).passed
+    assert calls[0] == 6
+
+
+@pytest.mark.parametrize("n", range(4, 10))
+def test_the_turned_diagonal_table_numbers_each_turned_diagonal(n):
+    table, number = moduli._diagonal_bits(n), {d: t for t, d in enumerate(polygon_diagonals(n))}
+    assert len(table) == n and all(len(row) == n * n for row in table)
+    for r, (u, v) in product(range(n), polygon_diagonals(n)):
+        bit = 1 << number[tuple(sorted(((u - r) % n, (v - r) % n)))]
+        assert table[r][u * n + v] == table[r][v * n + u] == bit, (r, u, v)
 
 
 def test_the_covering_map_keeps_a_read_only_image(cache):
