@@ -114,38 +114,49 @@ def _c05_cover_five(cache, ns):
     return True, "24 pentagons, chi=-6, nonorientable"
 
 
+_LAW_ENTRIES = 2 ** 15     # the most parent-table entries one slice of the law gathers
+
+
 def _coboundary_law(complex_):
     """Check the 2^t C(k,t) law on every cell of a complex, grade by grade.
 
     A cell's frontier starts as the cell itself; t steps up it is the
-    distinct parents of the frontier one step up, gathered for a whole
-    grade at once from the parent tables.  While the law holds each row
-    has 2^t C(k,t) entries, so the frontiers stay one rectangular array.
-    (In a divisor subcomplex, where codim_offset is 1, k counts only the
-    diagonals besides the divisor's own.)  Returns the detail line of the
-    first cell, by index, that breaks the law at some offset, naming its
-    least such offset; None when every cell keeps it.
+    distinct parents of the frontier one step up, gathered from the
+    parent tables for a slice of the grade's cells at a time.  While the
+    law holds each row has 2^t C(k,t) entries, so the frontiers stay one
+    rectangular array, and a slice holds as many cells as keep its widest
+    gather, 2^(t-1) C(k,t-1) entries times the width of their parent
+    rows, within _LAW_ENTRIES.  (In a divisor subcomplex, where
+    codim_offset is 1, k counts only the diagonals besides the divisor's
+    own.)  Returns the detail line of the first cell, by index, that
+    breaks the law at some offset, naming its least such offset; the
+    slices go in cell order, so the first slice with a broken cell holds
+    it.  None when every cell keeps the law.
     """
     off = complex_.codim_offset
     for k, (start, end) in complex_.grade_range.items():
-        cells, broken = np.arange(start, end), []
-        frontier = cells[:, None]
-        for t in range(1, k - off + 1):
-            if not len(cells):
-                break
-            level = complex_.levels[k - t + 1]
-            up = np.sort(level.parents[frontier - level.start].reshape(len(cells), -1), axis=1)
-            new = np.ones(up.shape, dtype=bool)
-            new[:, 1:] = up[:, 1:] != up[:, :-1]
-            got, want = new.sum(axis=1), (1 << t) * comb(k - off, t)
-            bad = got != want
-            broken += [(cell, t, count, want) for cell, count in zip(cells[bad].tolist(),
-                                                                      got[bad].tolist())]
-            cells, frontier = cells[~bad], up[~bad][new[~bad]].reshape(-1, want)
-        if broken:
-            cell, t, got, want = min(broken)
-            return (f"{complex_.mode} n={complex_.n} cell {cell} (k={k}): "
-                    f"{got} cells at offset {t}, expected {want}")
+        levels = [complex_.levels[k - t] for t in range(k - off)]
+        widest = max([(1 << t) * comb(k - off, t) * level.parents.shape[1]
+                      for t, level in enumerate(levels)], default=1)
+        step = max(1, _LAW_ENTRIES // widest)
+        for lo in range(start, end, step):
+            cells, broken = np.arange(lo, min(lo + step, end)), []
+            frontier = cells[:, None]
+            for t, level in enumerate(levels, 1):
+                if not len(cells):
+                    break
+                up = np.sort(level.parents[frontier - level.start].reshape(len(cells), -1), axis=1)
+                new = np.ones(up.shape, dtype=bool)
+                new[:, 1:] = up[:, 1:] != up[:, :-1]
+                got, want = new.sum(axis=1), (1 << t) * comb(k - off, t)
+                bad = got != want
+                broken += [(cell, t, count, want) for cell, count in zip(cells[bad].tolist(),
+                                                                          got[bad].tolist())]
+                cells, frontier = cells[~bad], up[~bad][new[~bad]].reshape(-1, want)
+            if broken:
+                cell, t, got, want = min(broken)
+                return (f"{complex_.mode} n={complex_.n} cell {cell} (k={k}): "
+                        f"{got} cells at offset {t}, expected {want}")
     return None
 
 

@@ -464,10 +464,15 @@ class ModuliComplex:
 
         Yields each slice's grade, first index, int8 label rows and int32
         indices into the grade's diagonal sets, and those sets.  A range
-        of another step raises RangeError when the first slice is asked for.
+        of another step, or one holding an index outside the complex's
+        cells, raises RangeError when the first slice is asked for; an
+        empty range yields nothing.
         """
         if indices.step != 1:
             raise RangeError(f"decode needs a range of step 1, got {indices!r}")
+        size = len(self.cells)
+        if indices and (indices.start < 0 or indices.stop > size):
+            raise RangeError(f"decode needs a range inside the {size} cells, got {indices!r}")
         for k, (start, end) in self.grade_range.items():
             a, b = max(start, indices.start), min(end, indices.stop)
             if a < b:
@@ -587,27 +592,38 @@ def _grow(grade, prev, rows, sets):
     (grade 0: every labeling with the empty set).  Returns one int64 key
     per result, code << shift | parent: the code of its least member, from
     the grade's flip tables, and the row it grew from, in the low shift
-    bits; and shift.
+    bits; and shift.  The results come in runs, one per set and each of
+    its below-sets, the set's diagonals taken in turn: a run is the rows
+    of one below-set, in cell order, grown into the one set.  Each slice
+    of results finds the runs it covers by one search and repeats their
+    offsets and sets, so no result needs a search of its own; the rows
+    are put in set order by numpy's radix sort.
     """
     n = rows.shape[1]
     shift = _key_shift(grade.ids.shape[1], n, len(grade.sets), len(rows))
     # each set grows from the sets with one diagonal fewer
     below = np.arange(len(grade.sets))[:, None] if prev is None else prev.set_index(
         grade.masks[:, None] - (np.int64(1) << grade.ids))
-    by_set = np.argsort(sets, kind="stable").astype(np.int32)
+    # a stable sort of keys of at most 16 bits is a radix sort; int16 holds
+    # every set index, as no grade at n <= 9 has more than 1485 sets and
+    # _key_shift stops any build past n = 9
+    by_set = np.argsort(sets.astype(np.int16), kind="stable").astype(np.int32)
     bounds = np.searchsorted(sets, np.arange(below.max() + 2), sorter=by_set)
-    # run r takes the rows of set below.flat[r] into set r // below.shape[1]
+    # run r takes the rows of set below.flat[r] into set target[r]
     sizes = np.diff(bounds)[below.ravel()]
     ends = np.cumsum(sizes)
-    offset = bounds[below.ravel()] - (ends - sizes)   # result i of run r: by_set[offset[r] + i]
+    starts = ends - sizes
+    offset = bounds[below.ravel()] - starts      # result i of run r: by_set[offset[r] + i]
+    target = np.arange(len(sizes)) // below.shape[1]
     keys = np.empty(ends[-1], dtype=np.int64)
     width = _slice_rows(len(keys))
     for lo in range(0, len(keys), width):
-        at = np.arange(lo, min(lo + width, len(keys)))
-        run = np.searchsorted(ends, at, side="right")
-        parent = by_set[offset[run] + at]
-        code = _least_codes(grade.flips, rows[parent], run // below.shape[1])
-        keys[lo:lo + width] = code << shift | parent
+        hi = min(lo + width, len(keys))
+        r0, r1 = np.searchsorted(ends, (lo, hi - 1), side="right")
+        counts = np.minimum(ends[r0:r1 + 1], hi) - np.maximum(starts[r0:r1 + 1], lo)
+        parent = by_set[np.repeat(offset[r0:r1 + 1], counts) + np.arange(lo, hi)]
+        code = _least_codes(grade.flips, rows[parent], np.repeat(target[r0:r1 + 1], counts))
+        keys[lo:hi] = code << shift | parent
     return keys, shift
 
 
@@ -643,7 +659,9 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
 
     Each grade grows from the one above: grade 0 from every labeling,
     grade k by adding each compatible diagonal to each cell of grade
-    k-1.  Each (parent, diagonal) pair gives one int64 key: the code of
+    k-1, whose rows _grow takes in whole runs of one set's cells; the
+    last grade is not decoded, as nothing grows from it.  Each
+    (parent, diagonal) pair gives one int64 key: the code of
     its result's least member, shifted up, with its parent's index in
     the low bits.  One in-place sort of the keys then gives the whole
     grade: the first code of each run of equal codes is a cell, so the
@@ -696,7 +714,8 @@ def build_complex(n, mode=PROJECTIVE, max_codim=None):
             parents += above
             levels[k] = _Level(start, _parent_table(k, start, np.flatnonzero(first), parents))
         del parents, first                 # not held while the next grade grows
-        (rows, sets), prev = _unpack(codes[k], n, len(grade.sets)), grade
+        if k < top:                        # nothing grows from the last grade
+            (rows, sets), prev = _unpack(codes[k], n, len(grade.sets)), grade
 
     return ModuliComplex(n=n, mode=mode, codes=codes, levels=levels)
 

@@ -132,6 +132,66 @@ def test_coboundary_law_stops_a_grade_whose_every_cell_breaks(cache):
         f"{PROJECTIVE} n=5 cell {cell} (k=2): 3 cells at offset 1, expected 4")
 
 
+def law_slice(complex_, k):
+    # the cells one slice of grade k holds in the law: as many as keep
+    # the widest gather, 2^(t-1) C(k, t-1) frontier entries times the
+    # width of their parent rows, within 2^15 entries
+    widest = max((1 << t) * comb(k, t) * complex_.levels[k - t].parents.shape[1]
+                 for t in range(k))
+    return 2 ** 15 // widest
+
+
+def repeat_a_parent(levels, k, cell):
+    # the cell's first two parents made equal: 2k - 1 cells at offset 1
+    row = levels[k].parents[cell - levels[k].start]
+    row[1] = row[0]
+    return 2 * k - 1
+
+
+def move_a_parent(levels, k, cell):
+    # the cell's first parent moved to a cell of grade k-1 that shares no
+    # parent with its other parents, which keeps 2k cells at offset 1
+    row, facets = levels[k].parents[cell - levels[k].start], levels[k - 1]
+    near = set(facets.parents[row[1:] - facets.start].ravel().tolist())
+    row[0] = next(i for i, pair in enumerate(facets.parents.tolist(), facets.start)
+                  if not near & set(pair))
+
+
+@pytest.fixture
+def cover_seven(cache):
+    # the n = 7 double cover with its parent tables copied, for breaking
+    complex_ = cache.full(7, DOUBLE_COVER)
+    levels = {k: moduli._Level(level.start, level.parents.copy())
+              for k, level in complex_.levels.items()}
+    return complex_, levels, lambda: moduli.ModuliComplex(7, DOUBLE_COVER, complex_._codes,
+                                                          levels)
+
+
+def test_coboundary_law_names_a_cell_in_its_third_slice(cover_seven):
+    complex_, levels, broken = cover_seven
+    start, end = complex_.grade_range[4]
+    step = law_slice(complex_, 4)
+    assert (step, end - start) == (341, 1890)        # six slices
+    cell = start + 2 * step + 5
+    got = repeat_a_parent(levels, 4, cell)
+    assert acceptance._coboundary_law(broken()) == (
+        f"{DOUBLE_COVER} n=7 cell {cell} (k=4): {got} cells at offset 1, expected 8")
+
+
+def test_coboundary_law_names_the_earlier_of_two_broken_slices(cover_seven):
+    # the earlier cell breaks only at offset 2, the later one at offset 1
+    complex_, levels, broken = cover_seven
+    start, step = complex_.grade_range[4][0], law_slice(complex_, 4)
+    early, late = start + step + 7, start + 3 * step + 1
+    move_a_parent(levels, 4, early)
+    repeat_a_parent(levels, 4, late)
+    complex_ = broken()
+    counts = complex_.coboundary_counts(complex_.cells[early])
+    assert counts[1] == 8 and counts[2] != 24
+    assert acceptance._coboundary_law(complex_) == (
+        f"{DOUBLE_COVER} n=7 cell {early} (k=4): {counts[2]} cells at offset 2, expected 24")
+
+
 class Counted:
     """A complex with only the counts criteria 2, 4 and 5 read."""
 

@@ -419,6 +419,24 @@ def test_decode_rejects_a_range_of_another_step(indices, cache):
         next(slices)
 
 
+@pytest.mark.parametrize("indices", (range(-3, 2), range(50, 80), range(57, 58), range(-1, 0)))
+def test_decode_rejects_a_range_outside_the_complex(indices, cache):
+    slices = cache.full(5).decode(indices)
+    with pytest.raises(RangeError, match=rf"^decode needs a range inside the 57 cells, got "
+                       rf"{re.escape(repr(indices))}$"):
+        next(slices)
+
+
+def test_decode_reads_the_ranges_inside_the_complex(cache):
+    complex_ = cache.full(5)
+    assert list(complex_.decode(range(3, 3))) == []
+    assert list(complex_.decode(range(-1, -1))) == list(complex_.decode(range(80, 80))) == []
+    assert [(k, lo, len(labels)) for k, lo, labels, *_ in complex_.decode(range(0, 57))] == [
+        (0, 0, 12), (1, 12, 30), (2, 42, 15)]
+    # a slice is clamped by the range before decode sees it
+    assert [cell.index for cell in complex_.cells[55:80]] == [55, 56]
+
+
 def test_cells_at_rejects_missing_grades(cache):
     with pytest.raises(RangeError):
         cache.full(4).cells_at(5)
@@ -575,6 +593,34 @@ def test_builds_to_n_7_walk_2048_rows_at_a_time(n, mode, monkeypatch):
                                           (DOUBLE_COVER, (3, 50, 64, 65, 65, 65))))
 def test_n_8_builds_walk_at_most_65_slices_a_grade(mode, slices, monkeypatch):
     assert slice_counts(8, mode, monkeypatch) == slices
+
+
+@pytest.mark.parametrize("n", range(4, 8))
+@pytest.mark.parametrize("mode", (PROJECTIVE, DOUBLE_COVER))
+def test_builds_in_slices_of_5_rows_match_the_default(n, mode, monkeypatch, cache):
+    # slices of at least 5 rows cut many runs of one set's rows in two
+    want = cache.full(n, mode)
+    monkeypatch.setattr(moduli, "_SLICE", 5)
+    got = build_complex(n, mode)
+    assert got._codes.keys() == want._codes.keys() and got.levels.keys() == want.levels.keys()
+    for k, codes in want._codes.items():
+        assert np.array_equal(got._codes[k], codes)
+    for k, level in want.levels.items():
+        assert got.levels[k].start == level.start
+        assert np.array_equal(got.levels[k].parents, level.parents)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_set_indices_sort_alike_as_int16_and_int32(n, cache):
+    # _grow radix-sorts an int16 copy of the set indices; no grade at
+    # n <= 9 has 2^15 sets
+    assert max(cayley_count(9, k) for k in range(7)) == 1485
+    for mode in (PROJECTIVE, DOUBLE_COVER):
+        complex_ = cache.full(n, mode)
+        for k, codes in complex_._codes.items():
+            sets = moduli._unpack(codes, n, cayley_count(n, k))[1]
+            assert np.array_equal(np.argsort(sets.astype(np.int16), kind="stable"),
+                                  np.argsort(sets, kind="stable"))
 
 
 @pytest.mark.parametrize("count", (0, 1, 2047, 2048, 2049, 64 * 2048 - 1, 64 * 2048,
